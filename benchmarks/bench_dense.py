@@ -2,19 +2,19 @@
 
 Measures per-builtin-ruleset warm scan throughput of the dense tier
 (``repro.engine.dense``: byte-class-compressed transition tables, bulk
-numpy stepping, literal prefilter) against the lazy config-cache backend
-it promotes from, on two stream profiles:
+numpy stepping, self-loop run skipping) against the lazy config-cache
+backend it promotes from, on two stream profiles:
 
 * ``demo``  — the 30% literal-density stream ``repro obs`` demos with:
-  heavy match activity, the prefilter rarely skips, the win is pure
-  table stepping vs per-byte dict interpretation;
+  heavy match activity, runs rarely skip, the win is pure table
+  stepping vs per-byte dict interpretation;
 * ``sparse`` — ~0.2% literal density: long noise runs between matches,
-  the regime DPI-style scanning lives in and where the prefilter's
-  ``bytes.find`` skip-ahead dominates.
+  the regime DPI-style scanning lives in and where the vectorized
+  self-loop skip dominates.
 
 Correctness is asserted inline: the promoted dense engine must produce
 byte-identical match sets to the python oracle on every ruleset and
-stream, including under the ablations (stride=2, prefilter off).
+stream.
 
 Two entry points:
 
@@ -57,7 +57,7 @@ def _sparse_stream(patterns: list[str], size: int, seed: int = 7,
 
     The noise alphabet is chosen *disjoint* from the ruleset's own
     bytes — the binary/non-signature traffic a DPI scanner spends its
-    life in, and the regime the literal prefilter exists for.  (The
+    life in, and the regime self-loop run skipping exists for.  (The
     demo stream covers the opposite, signature-saturated case.)
     """
     rng = random.Random(seed)
@@ -93,15 +93,15 @@ def _best_wall_seconds(engine: IMfantEngine, stream: bytes,
     return best
 
 
-def _promoted(mfsa, stream: bytes, **kwargs) -> IMfantEngine:
-    engine = IMfantEngine(mfsa, backend="dense", **kwargs)
+def _promoted(mfsa, stream: bytes) -> IMfantEngine:
+    engine = IMfantEngine(mfsa, backend="dense")
     engine.run(stream, collect_stats=False)  # warm the lazy ramp
     assert engine.promote_dense(force=True)
     return engine
 
 
 def bench_ruleset(name: str, stream_size: int = STREAM_SIZE,
-                  repeats: int = REPEATS, ablations: bool = True) -> dict:
+                  repeats: int = REPEATS) -> dict:
     """One ruleset's dense-vs-lazy comparison on both stream profiles;
     raises if any dense configuration disagrees with the oracle."""
     patterns = list(load_builtin(name).patterns)
@@ -141,26 +141,13 @@ def bench_ruleset(name: str, stream_size: int = STREAM_SIZE,
             },
             "dense_speedup_vs_lazy": lazy_s / dense_s,
         }
-        if ablations and profile == "sparse":
-            for label, kwargs in (
-                ("stride2", {"dense_stride": 2}),
-                ("no_prefilter", {"dense_prefilter": False}),
-            ):
-                variant = _promoted(mfsa, stream, **kwargs)
-                assert variant.run(stream, collect_stats=False).matches == oracle, (
-                    name, profile, label)
-                seconds = _best_wall_seconds(variant, stream, repeats)
-                entry.setdefault("ablations", {})[label] = {
-                    "seconds": seconds,
-                    "throughput_mb_s": len(stream) / seconds / 1e6,
-                }
         row["streams"][profile] = entry
     return row
 
 
 def run_sweep(stream_size: int = STREAM_SIZE, repeats: int = REPEATS,
-              rulesets: list[str] | None = None, ablations: bool = True) -> dict:
-    rows = [bench_ruleset(name, stream_size, repeats, ablations)
+              rulesets: list[str] | None = None) -> dict:
+    rows = [bench_ruleset(name, stream_size, repeats)
             for name in (rulesets or list_builtin())]
     sparse_speedups = {r["ruleset"]: r["streams"]["sparse"]["dense_speedup_vs_lazy"]
                        for r in rows}
@@ -171,8 +158,7 @@ def run_sweep(stream_size: int = STREAM_SIZE, repeats: int = REPEATS,
         "sparse_density": SPARSE_DENSITY,
         "note": "dense measured warm with the tier force-promoted; lazy "
                 "measured warm (cache primed by the correctness pass); all "
-                "match sets asserted byte-identical to the python oracle, "
-                "ablations included",
+                "match sets asserted byte-identical to the python oracle",
         "results": rows,
         "summary": {
             "sparse_dense_speedup_vs_lazy": sparse_speedups,
@@ -187,8 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(argv or [])
     if "--smoke" in argv:
         report = run_sweep(stream_size=1 << 15, repeats=2,
-                           rulesets=["tokens_exact", "dotstar_rules"],
-                           ablations=False)
+                           rulesets=["tokens_exact", "dotstar_rules"])
         best = max(r["streams"]["sparse"]["dense_speedup_vs_lazy"]
                    for r in report["results"])
         assert best >= 2.0, (

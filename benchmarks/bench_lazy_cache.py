@@ -1,6 +1,6 @@
-"""Lazy-DFA configuration-cache benchmark: python vs numpy vs lazy vs dense.
+"""Lazy-DFA configuration-cache benchmark: python vs lazy vs dense.
 
-Measures per-builtin-ruleset scan throughput of the four iMFAnt
+Measures per-builtin-ruleset scan throughput of three iMFAnt
 backends (``merging_factor=0``, i.e. one MFSA per ruleset) on a
 deterministic stream that mixes ruleset literal material with noise
 (the same generator ``repro obs`` demos with), plus the lazy backend's
@@ -10,8 +10,8 @@ The lazy backend is measured **warm** (one priming pass before timing) —
 the steady state a long-lived DPI process operates in — and also cold,
 so the memoization cost is visible.  The dense backend is measured with
 its compiled tier force-promoted after the same warm-up (see
-``benchmarks/bench_dense.py`` for the dedicated dense sweep and stream
-ablations).  Correctness is asserted inline: all four backends must
+``benchmarks/bench_dense.py`` for the dedicated dense sweep over two
+stream profiles).  Correctness is asserted inline: all three backends must
 produce identical match sets on every ruleset.
 
 Two entry points:
@@ -42,7 +42,7 @@ from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 STREAM_SIZE = int(os.environ.get("REPRO_BENCH_LAZY_STREAM", str(1 << 15)))
 REPEATS = int(os.environ.get("REPRO_BENCH_LAZY_REPEATS", "3"))
-BACKENDS = ("python", "numpy", "lazy", "dense")
+BACKENDS = ("python", "lazy", "dense")
 
 
 def _best_wall_seconds(engine: IMfantEngine, stream: bytes, repeats: int = REPEATS) -> float:
@@ -85,7 +85,6 @@ def bench_ruleset(name: str, stream_size: int = STREAM_SIZE) -> dict:
             b: len(stream) / seconds[b] / 1e6 for b in BACKENDS
         },
         "speedup_vs_python": {
-            "numpy": seconds["python"] / seconds["numpy"],
             "lazy": seconds["python"] / seconds["lazy"],
             "dense": seconds["python"] / seconds["dense"],
         },
@@ -127,12 +126,12 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "BENCH_lazy.json"
     report = run_sweep()
     out.write_text(json.dumps(report, indent=2) + "\n")
-    header = (f"{'ruleset':20s} {'python':>10s} {'numpy':>10s} {'lazy':>10s} "
+    header = (f"{'ruleset':20s} {'python':>10s} {'lazy':>10s} "
               f"{'dense':>10s} {'dense-spd':>10s} {'hit rate':>9s} {'configs':>8s}")
     print(header)
     for row in report["results"]:
         mb = row["throughput_mb_s"]
-        print(f"{row['ruleset']:20s} {mb['python']:8.2f}MB {mb['numpy']:8.2f}MB "
+        print(f"{row['ruleset']:20s} {mb['python']:8.2f}MB "
               f"{mb['lazy']:8.2f}MB {mb['dense']:8.2f}MB "
               f"{row['speedup_vs_python']['dense']:9.2f}x "
               f"{row['lazy_cache']['cumulative_hit_rate']:9.3f} "

@@ -121,7 +121,7 @@ def _add_guard_flags(parser: argparse.ArgumentParser, degrade: bool = False) -> 
     if degrade:
         group.add_argument("--degrade", choices=("off", "auto"), default="off",
                            help="auto: step the backend ladder dense->lazy->"
-                                "numpy->python on allocation failure / cache "
+                                "python on allocation failure / cache "
                                 "thrash / failed dense promotion")
 
 
@@ -130,27 +130,14 @@ def _add_dense_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--dense-promote-after", type=int, default=None, metavar="BYTES",
                        help="lazy bytes scanned before compiled-table promotion "
                             "(default: %d)" % DEFAULT_PROMOTE_AFTER)
-    group.add_argument("--dense-stride", type=int, choices=(1, 2), default=1,
-                       help="bytes consumed per compiled-table step; 2 builds "
-                            "the byte-pair table (stride 1 usually measures "
-                            "faster — see docs/performance.md)")
-    group.add_argument("--no-prefilter", dest="dense_prefilter", action="store_false",
-                       help="disable the literal skip-ahead prefilter over "
-                            "self-loop runs")
 
 
 def _dense_kwargs(args: argparse.Namespace) -> dict:
     """Engine kwargs from the dense flags (empty off the dense backend,
     so non-dense engines never see unexpected knobs)."""
-    if getattr(args, "backend", None) != "dense":
+    if getattr(args, "backend", None) != "dense" or args.dense_promote_after is None:
         return {}
-    kwargs: dict = {
-        "dense_stride": args.dense_stride,
-        "dense_prefilter": args.dense_prefilter,
-    }
-    if args.dense_promote_after is not None:
-        kwargs["dense_promote_after"] = args.dense_promote_after
-    return kwargs
+    return {"dense_promote_after": args.dense_promote_after}
 
 
 def _add_counting_flags(parser: argparse.ArgumentParser) -> None:
@@ -305,7 +292,7 @@ def match_main(argv: list[str] | None = None) -> int:
     parser.add_argument("-t", "--threads", type=int, default=1,
                         help="thread-pool size for multi-MFSA execution")
     parser.add_argument("--backend",
-                        choices=("python", "numpy", "lazy", "dense", "counting"),
+                        choices=("python", "lazy", "dense", "counting"),
                         default="python")
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
@@ -693,7 +680,7 @@ def obs_main(argv: list[str] | None = None) -> int:
     parser.add_argument("-m", "--merging-factor", type=int, default=0)
     parser.add_argument("-t", "--threads", type=int, default=1)
     parser.add_argument("--backend",
-                        choices=("python", "numpy", "lazy", "dense", "counting"),
+                        choices=("python", "lazy", "dense", "counting"),
                         default="python")
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
@@ -903,7 +890,7 @@ def _serve_run_main(argv: list[str]) -> int:
                         help="shard workers in-process (thread) or forked worker "
                              "processes loading the cached artifact (process)")
     parser.add_argument("--backend",
-                        choices=("dense", "lazy", "numpy", "python", "counting"),
+                        choices=("dense", "lazy", "python", "counting"),
                         default="lazy")
     _add_counting_flags(parser)
     parser.add_argument("--scan-strategy", choices=("auto", "sfa", "overlap"),

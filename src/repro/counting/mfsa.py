@@ -131,7 +131,7 @@ class CountingMfsa:
         exactly (property-tested against the register execution).
 
         This is the *ladder bridge*: it lets a counting-compiled
-        automaton run on any plain backend (lazy/numpy/python) when the
+        automaton run on any plain backend (dense/lazy/python) when the
         counting backend is unavailable or demoted — at the price of
         exactly the state growth the counting backend avoids.
         """

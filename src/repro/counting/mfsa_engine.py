@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterable
 
 from repro.counting.mfsa import CountingMfsa
 from repro.engine.counters import RunResult
 from repro.labels import ALPHABET_SIZE
+from repro.mfsa.activation import iter_bits
 
 
 class CountingMfsaEngine:
@@ -120,7 +120,7 @@ class CountingMfsaEngine:
             for state, mask in nxt.items():
                 hit = mask & final_mask[state]
                 if hit:
-                    for slot in _bits(hit):
+                    for slot in iter_bits(hit):
                         matches.add((slot_to_rule[slot], position))
             if collect_stats:
                 stats.transitions_examined += len(enabled) + len(counting)
@@ -135,9 +135,3 @@ class CountingMfsaEngine:
         stats.match_count = len(matches)
         return result
 
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -4,20 +4,17 @@
   tables (the iNFAnt data structure linking each of the 256 symbols to
   the transitions it enables).
 * :mod:`repro.engine.infant` — the baseline iNFAnt engine over one FSA.
-* :mod:`repro.engine.imfant` — the iMFAnt engine over an MFSA, pure-Python,
-  NumPy-vectorised (the data-parallel GPGPU-style variant), and lazy
-  (memoized frontier transitions).
+* :mod:`repro.engine.imfant` — the iMFAnt engine over an MFSA: pure-Python,
+  lazy (memoized frontier transitions), dense and counting backends.
 * :mod:`repro.engine.lazy` — the bounded lazy-DFA configuration cache
   behind ``backend="lazy"``.
 * :mod:`repro.engine.dense` — the dense compiled-DFA tier above the
   lazy cache (``backend="dense"``): byte-class-compressed transition
-  tables, self-loop run skipping with a ``bytes.find`` literal
-  prefilter, and mid-buffer de-opt back to lazy interpretation.
+  tables, self-loop run skipping by vectorized block search, and
+  mid-buffer de-opt back to lazy interpretation.
 * :mod:`repro.engine.counting` — counter registers behind
   ``backend="counting"``: bounded ``{m,n}`` repeats as O(1)-per-byte
   sliding-window counters instead of expanded state chains.
-* :mod:`repro.engine.bitops` — uint64 popcount helpers (native
-  ``np.bitwise_count`` or a pre-NumPy-2.0 ``np.unpackbits`` fallback).
 * :mod:`repro.engine.counters` — execution statistics (work counters).
 * :mod:`repro.engine.cost` — the work-based timing model used by the
   thread-scaling experiments.

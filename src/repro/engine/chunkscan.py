@@ -14,7 +14,7 @@ technique when one flow dominates.  Two strategies are available:
   overlap prepended to the next chunk, so chunks scan independently and
   matches deduplicate by absolute offset.  Requires every rule's match
   width to be bounded, but each chunk runs on the fastest available
-  byte engine (numpy / lazy DFA), which the pure-python mapping scan
+  byte engine (lazy DFA / dense tier), which the pure-python mapping scan
   cannot.
 
 ``strategy="auto"`` (the default) resolves by :func:`mfsa_max_width`:

@@ -52,21 +52,8 @@ class CostModel:
     c_lazy: float = 1.5
     #: per char stepped through a compiled dense-tier row (one table
     #: index per byte — the cheapest per-byte path of any backend; run
-    #: skipping and the literal prefilter only push it lower).
+    #: skipping only pushes it lower).
     c_dense: float = 0.4
-    #: fixed per-char dispatch cost of the numpy backend.  Profiling
-    #: shows ~5 vectorised kernel launches per input byte (scatter-OR,
-    #: reduce, any-check, clear) whose launch overhead is paid whatever
-    #: the frontier width — this fixed term, not the per-transition
-    #: work, is why numpy measures *slower* than interpretive python on
-    #: sparse-activation rulesets (the dotstar regression in
-    #: BENCH_lazy.json).
-    c_numpy_char: float = 16.0
-    #: per examined transition under numpy — vectorised, so near memory
-    #: bandwidth.  With the default coefficients numpy only models
-    #: cheaper than python above ≈56 examined transitions per char,
-    #: matching the measured near-break-even at ~74 (range_rules).
-    c_numpy_trans: float = 0.05
     #: fixed per-char dispatch of the counting backend: the interpretive
     #: python body plus the counter-register advance.  The register work
     #: itself rides in the transition term (counting scans charge one
@@ -104,9 +91,6 @@ class CostModel:
         pays to examine them:
 
         * ``python`` — the full interpretive model (:meth:`run_cost`).
-        * ``numpy`` — a large fixed per-char dispatch term plus a tiny
-          vectorised per-transition term: cheap only for very dense
-          transition traffic (see ``c_numpy_char``).
         * ``lazy`` — one memo probe per char once the config graph is
           warm (the steady state the autotuner cares about).
         * ``dense`` — one compiled-table index per char.
@@ -118,11 +102,6 @@ class CostModel:
         """
         if backend == "python":
             return self.run_cost(stats)
-        if backend == "numpy":
-            return (
-                self.c_numpy_char * stats.chars_processed
-                + self.c_numpy_trans * stats.transitions_examined
-            )
         if backend == "lazy":
             return self.c_lazy * stats.chars_processed
         if backend == "dense":

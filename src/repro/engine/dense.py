@@ -17,20 +17,12 @@ byte.  This module is that tier:
 * **Dense tables** — ``(config, class) → next config`` as a NumPy
   ``int32`` matrix plus per-edge emission ids and work counters; a
   sentinel ``-1`` marks edges that leave the compiled region.
-* **Self-loop run skipping / literal prefilter** — most of a scan sits
-  in a config that maps most classes back to itself (the "resting"
-  frontier between rule prefixes).  Those runs are skipped wholesale:
-  when the escape set of a config is a handful of *bytes*, repeated
-  ``bytes.find`` calls (with per-byte position caching) jump straight
-  to the next interesting offset — the classic literal prefilter,
-  generalized from required-byte sets; otherwise a vectorized NumPy
+* **Self-loop run skipping** — most of a scan sits in a config that
+  maps most classes back to itself (the "resting" frontier between
+  rule prefixes).  Those runs are skipped wholesale: a vectorized NumPy
   block search finds the first escaping class.  Emitting self-loops
   (``.*``-style post-match runs) are extracted vectorized as
   run-length-compressed emission events, never per byte.
-* **Optional 2-byte stride** — a ``(config, class²)`` pair table steps
-  two bytes per interpreter iteration on quiet edges (promoting the
-  idea ``bench_baseline_multistride.py`` measures; pairs touching an
-  emission or the region boundary fall back to single steps).
 * **Mid-buffer de-opt** — an edge marked ``-1`` drops to lazy
   interpretation *at that offset* (warming the cache as it goes) and
   re-enters compiled code as soon as the frontier is a compiled config
@@ -80,10 +72,6 @@ DEFAULT_PROMOTE_AFTER = 1 << 16
 #: Auto-promotion gate: the cache must be this warm (and eviction-free).
 DENSE_MIN_HIT_RATE = 0.99
 
-#: Max distinct escape *bytes* for the ``bytes.find`` prefilter path;
-#: larger escape sets use the vectorized block search instead.
-PREFILTER_FIND_MAX = 4
-
 #: Initial block size (bytes) of the vectorized escape search.  Blocks
 #: double per miss (up to 1 MiB), so a short run costs one small gather
 #: while a megabyte-long quiet stretch still takes a handful of scans.
@@ -118,9 +106,9 @@ class DenseScanOutcome:
     #: de-opt entries / bytes interpreted lazily during them
     deopts: int = 0
     deopt_bytes: int = 0
-    #: bytes skipped by self-loop runs (prefilter + block search)
+    #: bytes skipped by self-loop runs (block search)
     skipped_bytes: int = 0
-    #: bytes consumed by single/pair stepping
+    #: bytes consumed by stepping
     stepped_bytes: int = 0
 
 
@@ -139,8 +127,6 @@ class DenseTier:
         self.classes: ByteClasses = None  # type: ignore[assignment]
         self.num_configs = 0
         self.num_classes = 0
-        self.stride = 1
-        self.prefilter = True
         self.flush_epoch = 0
         self.build_seconds = 0.0
         self.nbytes = 0
@@ -152,8 +138,6 @@ class DenseTier:
         cls,
         cache: LazyConfigCache,
         *,
-        stride: int = 1,
-        prefilter: bool = True,
         meter: Optional[BudgetMeter] = None,
         classes: Optional[ByteClasses] = None,
     ) -> "DenseTier":
@@ -171,13 +155,9 @@ class DenseTier:
         :class:`~repro.guard.errors.AllocationFailed` — both step the
         guard ladder back to lazy instead of crashing a scan.
         """
-        if stride not in (1, 2):
-            raise ValueError(f"dense stride must be 1 or 2 (got {stride})")
         started = time.perf_counter()
         tier = cls()
         tier.cache = cache
-        tier.stride = stride
-        tier.prefilter = prefilter
         tier.flush_epoch = cache.stats.flushes
         tables = cache.tables
         bc = classes if classes is not None else byte_classes(tables.by_symbol)
@@ -193,8 +173,6 @@ class DenseTier:
 
         # trans/emit/taken int32 + reference step-rows (pointers) + translate
         nbytes = 3 * n * k * 4 + n * (k + 1) * 8 + 256
-        if stride == 2:
-            nbytes += n * k * k * 12  # int32 pair table + flat python rows
         tier.nbytes = nbytes
         if meter is not None:
             meter.charge_memory(nbytes, stage="dense.promote")
@@ -255,30 +233,14 @@ class DenseTier:
         tier.esc_np = [row.copy() for row in esc]
         tier.loop_b: list[Optional[bytes]] = []
         tier.emit_loop: list[bool] = []
-        tier.esc_bytes: list[Optional[bytes]] = []
-        translate = bc.translate
-        members_of: list[list[int]] = [[] for _ in range(k)]
-        for b in range(256):
-            members_of[translate[b]].append(b)
         for c in range(n):
             row = loop[c]
             if not row.any():
                 tier.loop_b.append(None)
                 tier.emit_loop.append(False)
-                tier.esc_bytes.append(None)
                 continue
             tier.loop_b.append(row.astype(np.uint8).tobytes())
             tier.emit_loop.append(bool((row & (emit[c] > 0)).any()))
-            esc_classes = np.flatnonzero(esc[c])
-            byte_list: list[int] = []
-            for cls_id in esc_classes.tolist():
-                byte_list.extend(members_of[cls_id])
-                if len(byte_list) > PREFILTER_FIND_MAX:
-                    break
-            if prefilter and 0 < len(byte_list) <= PREFILTER_FIND_MAX:
-                tier.esc_bytes.append(bytes(byte_list))
-            else:
-                tier.esc_bytes.append(None)
         tier._short_runs = [0] * n
 
         # reference step-rows: entry ``j`` is *the next config's row
@@ -307,22 +269,6 @@ class DenseTier:
             [cache.examined_by_byte[rep] for rep in reps], dtype=np.int64
         )
         tier.examined_list = tier.examined_np.tolist()
-
-        tier.pair_np = None
-        tier._pair_ref: list[Optional[list]] = [None] * n
-        if stride == 2:
-            try:
-                ok1 = (trans >= 0) & (emit == 0)
-                mid = np.where(ok1, trans, 0)
-                t2 = trans[mid]  # (n, k, k)
-                e2 = emit[mid]
-                tier.pair_np = np.where(
-                    ok1[:, :, None] & (t2 >= 0) & (e2 == 0), t2, -1
-                ).astype(np.int32)
-            except MemoryError as exc:
-                raise AllocationFailed(
-                    f"dense pair-table allocation failed: {exc}"
-                ) from exc
 
         tier.build_seconds = time.perf_counter() - started
         return tier
@@ -382,10 +328,6 @@ class DenseTier:
         track = collect_stats or sampler is not None
         ref_rows = self.ref_rows
         tail = self.num_classes
-        kk = self.num_classes
-        pair_mode = self.pair_np is not None and not track
-        pair_ref = self._pair_ref
-        find_cache: dict[int, int] = {}
         since_check = 0
 
         def deadline_hit() -> bool:
@@ -448,7 +390,7 @@ class DenseTier:
             lb = loop_b[cur]
             if lb is not None and lb[k]:
                 # -- skip phase: find the first escaping index ---------
-                j = self._find_escape(payload, cls_np, cur, pos, n, find_cache)
+                j = self._find_escape(cls_np, cur, pos, n)
                 run_len = j - pos
                 if run_len < SHORT_RUN_BYTES:
                     strikes = self._short_runs[cur] + 1
@@ -485,25 +427,11 @@ class DenseTier:
                 # burst mode: follow row references on quiet edges —
                 # emissions, de-opts, and skip opportunities are baked
                 # in as None breaks, so the hot loop is a handful of
-                # interpreter ops per byte (pair rows halve that again)
+                # interpreter ops per byte
                 p0 = pos
                 limit = n
                 if deadline_at is not None:
                     limit = min(n, pos + max(1, deadline_stride - since_check))
-                if pair_mode:
-                    row2 = pair_ref[cur]
-                    if row2 is None:
-                        row2 = self._pair_row(cur)
-                    end2 = limit - 1
-                    while pos < end2:
-                        v2 = row2[cls_b[pos] * kk + cls_b[pos + 1]]
-                        if v2 < 0:
-                            break
-                        pos += 2
-                        cur = v2
-                        row2 = pair_ref[v2]
-                        if row2 is None:
-                            row2 = self._pair_row(v2)
                 row = ref_rows[cur]
                 while pos < limit:
                     nxt = row[cls_b[pos]]
@@ -614,60 +542,21 @@ class DenseTier:
         out.final_config = cur
         return out
 
-    def _pair_row(self, c: int) -> list:
-        """Materialise config ``c``'s flat stride-2 row (lazy, cached).
-
-        Pair entries whose *first* class is a skippable self-loop are
-        masked to ``-1`` so pair bursts break at skip opportunities
-        instead of stepping through them two bytes at a time.
-        """
-        arr = self.pair_np[c]
-        if self.loop_b[c] is not None:
-            arr = np.where(self.esc_np[c][:, None], arr, -1)
-        row = arr.ravel().tolist()
-        self._pair_ref[c] = row
-        return row
-
     def _disable_skip(self, c: int) -> None:
         """Adaptive short-run fallback: config ``c`` keeps producing
         runs too short to amortise escape searches, so stop skipping it
-        and restore its quiet self-loop edges to burst references (and
-        re-materialise its pair row without the loop masking)."""
+        and restore its quiet self-loop edges to burst references."""
         self.loop_b[c] = None
         row = self.ref_rows[c]
         quiet_loops = (self.trans_np[c] == c) & (self.emit_np[c] == 0)
         for j in np.flatnonzero(quiet_loops).tolist():
             row[j] = row
-        self._pair_ref[c] = None
 
     # -- skip-phase helpers ------------------------------------------------
 
-    def _find_escape(
-        self,
-        payload: bytes,
-        cls_np: np.ndarray,
-        cur: int,
-        pos: int,
-        n: int,
-        find_cache: dict,
-    ) -> int:
+    def _find_escape(self, cls_np: np.ndarray, cur: int, pos: int, n: int) -> int:
         """First index ``>= pos`` whose class escapes ``cur``'s
-        self-loop (``n`` if none): the literal prefilter
-        (``bytes.find`` over a small escape-byte set, next-occurrence
-        cached) or the vectorized block search."""
-        esc = self.esc_bytes[cur]
-        if esc is not None:
-            j = n
-            for b in esc:
-                f = find_cache.get(b, -1)
-                if f < pos and f != -2:
-                    f = payload.find(b, pos)
-                    find_cache[b] = f if f >= 0 else -2
-                if f >= pos and f < j:
-                    j = f
-                    if j == pos:
-                        break
-            return j
+        self-loop (``n`` if none), by vectorized block search."""
         lut = self.esc_np[cur]
         j = pos
         block = ESCAPE_BLOCK

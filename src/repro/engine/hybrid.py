@@ -70,10 +70,9 @@ class HybridEngine:
     """Split compile + combined execution (see module docstring).
 
     ``backend`` passes straight through to the merged side's
-    :class:`IMfantEngine`\\ s — any of ``python``/``numpy``/``lazy``/
-    ``dense`` (the dense tier auto-promotes per engine once its lazy
-    cache runs warm).  The counting side is its own engine and is
-    unaffected.
+    :class:`IMfantEngine`\\ s — any of ``python``/``lazy``/``dense``
+    (the dense tier auto-promotes per engine once its lazy cache runs
+    warm).  The counting side is its own engine and is unaffected.
     """
 
     def __init__(

@@ -11,13 +11,10 @@ to ``J(dst)``; a non-empty contribution is a performed move, and bits of
 ``J(dst) ∩ final(dst)`` are reported as matches (see
 :mod:`repro.mfsa.activation` for the semantics derivation).
 
-Three interchangeable implementations:
+Four interchangeable implementations:
 
 * ``backend="python"`` — dict-based sparse state vector with arbitrary-
   precision int masks; clear and allocation-light.
-* ``backend="numpy"`` — dense ``(num_states, limbs)`` uint64 state vector
-  with bulk gather/scatter per symbol; the CPU analogue of iNFAnt's
-  data-parallel GPU formulation.
 * ``backend="lazy"`` — the python step memoized behind a bounded
   lazy-DFA configuration cache (:mod:`repro.engine.lazy`): steady-state
   scanning is one dict lookup per byte, falling back to the interpretive
@@ -25,16 +22,17 @@ Three interchangeable implementations:
 * ``backend="dense"`` — the lazy backend plus an auto-promoted dense
   compiled tier (:mod:`repro.engine.dense`): once the cache is warm and
   stable the interned config graph is compiled into byte-class-
-  compressed numpy tables and buffers are scanned in bulk (self-loop
-  run skipping, literal prefilter, optional 2-byte stride), de-opting
-  to lazy interpretation wherever a scan escapes the compiled region.
+  compressed NumPy tables and buffers are scanned in bulk (self-loop
+  run skipping), de-opting to lazy interpretation wherever a scan
+  escapes the compiled region.
 * ``backend="counting"`` — the python step plus counter registers
   (:mod:`repro.engine.counting`) for the counting arcs of a
   :class:`~repro.counting.mfsa.CountingMfsa`: bounded ``{m,n}`` repeats
   run in O(1) amortised per byte instead of expanding into bound-many
-  states.  On a plain :class:`~repro.mfsa.model.Mfsa` (zero registers)
-  it degenerates to the python backend exactly — matches *and* work
-  counters — which is how it joins the conformance matrix.
+  states.  Both run the same interpretive loop; on a plain
+  :class:`~repro.mfsa.model.Mfsa` (zero registers) the register block
+  never runs and counting *is* the python backend — matches *and* work
+  counters.
 
 All produce identical matches and (modulo wall time) identical work
 counters; tests enforce the agreement.
@@ -43,13 +41,9 @@ counters; tests enforce the agreement.
 from __future__ import annotations
 
 import time
-from typing import Iterable
-
-import numpy as np
 
 import repro.obs as obs
 from repro.counting.mfsa import CountingMfsa
-from repro.engine.bitops import popcount_rows
 from repro.engine.counters import ExecutionStats, RunResult
 from repro.engine.counting import RegisterFile, RegisterSpec, build_register_specs
 from repro.engine.dense import (
@@ -67,9 +61,10 @@ from repro.guard.errors import (
     ScanDeadlineExceeded,
     UsageError,
 )
+from repro.mfsa.activation import iter_bits
 from repro.mfsa.model import Mfsa
 
-_BACKENDS = ("python", "numpy", "lazy", "dense", "counting")
+_BACKENDS = ("python", "lazy", "dense", "counting")
 
 #: Scan positions between deadline checks (one modulo per byte; the
 #: perf_counter read happens only every stride-th position).
@@ -131,8 +126,6 @@ class IMfantEngine:
         scan_deadline: float | None = None,
         deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
         dense_promote_after: int = DEFAULT_PROMOTE_AFTER,
-        dense_stride: int = 1,
-        dense_prefilter: bool = True,
         dense_budget: "Budget | None" = None,
         counting_budget: "Budget | None" = None,
     ) -> None:
@@ -146,8 +139,6 @@ class IMfantEngine:
             raise UsageError(
                 f"dense_promote_after must be >= 0 (got {dense_promote_after})"
             )
-        if dense_stride not in (1, 2):
-            raise UsageError(f"dense_stride must be 1 or 2 (got {dense_stride})")
         self.backend = backend
         self.pop_on_final = pop_on_final
         self.single_match = single_match
@@ -156,8 +147,6 @@ class IMfantEngine:
         self.scan_deadline = scan_deadline
         self.deadline_stride = deadline_stride
         self.dense_promote_after = dense_promote_after
-        self.dense_stride = dense_stride
-        self.dense_prefilter = dense_prefilter
         self.dense_budget = dense_budget
         self.counting_budget = counting_budget
         if isinstance(mfsa, CountingMfsa):
@@ -185,11 +174,10 @@ class IMfantEngine:
         self._dense_disabled = False
         self._deopt_since_build = 0
         self._last_lazy_hit_rate = 0.0
+        self._register_specs: tuple[RegisterSpec, ...] = ()
         try:
             faultinject.fire("alloc", backend=self.backend)
-            if self.backend == "numpy":
-                self.tables.ensure_arrays()
-            elif self.backend in ("lazy", "dense"):
+            if self.backend in ("lazy", "dense"):
                 self.lazy_cache = LazyConfigCache(
                     self.tables,
                     pop_on_final=self.pop_on_final,
@@ -244,8 +232,6 @@ class IMfantEngine:
         clone.scan_deadline = self.scan_deadline
         clone.deadline_stride = self.deadline_stride
         clone.dense_promote_after = self.dense_promote_after
-        clone.dense_stride = self.dense_stride
-        clone.dense_prefilter = self.dense_prefilter
         clone.dense_budget = self.dense_budget
         clone.counting_budget = self.counting_budget
         clone.counting_mfsa = self.counting_mfsa
@@ -294,15 +280,11 @@ class IMfantEngine:
             rules=self.tables.num_rules,
             bytes=len(payload),
         ) as sp:
-            if self.backend == "numpy":
-                result = self._run_numpy(payload, collect_stats)
-            elif self.backend == "lazy":
+            if self.backend == "lazy":
                 result = self._run_lazy(payload, collect_stats)
             elif self.backend == "dense":
                 result = self._run_dense(payload, collect_stats)
-            elif self.backend == "counting":
-                result = self._run_counting(payload, collect_stats)
-            else:
+            else:  # python, counting
                 result = self._run_python(payload, collect_stats)
             if self.single_match:
                 firsts: dict[int, int] = {}
@@ -314,99 +296,23 @@ class IMfantEngine:
             sp.set(matches=result.stats.match_count)
         return result
 
-    # -- python backend ------------------------------------------------------
+    # -- python / counting backends -------------------------------------------
 
     def _run_python(self, payload: bytes, collect_stats: bool) -> RunResult:
-        tables = self.tables
-        by_symbol = tables.by_symbol
-        init_mask = tables.init_mask
-        final_mask = tables.final_mask
-        slot_to_rule = tables.slot_to_rule
-        pop_on_final = self.pop_on_final
+        """The interpretive activation step, plus counter registers for
+        the counting arcs when there are any.
 
-        result = RunResult()
-        stats = result.stats
-        stats.mask_limbs = limbs_for(tables.num_rules)
-        matches = result.matches
-        for rule in tables.empty_matching_rules:
-            matches.update((rule, end) for end in range(len(payload) + 1))
-
-        all_rules_mask = (1 << tables.num_rules) - 1
-        # ε-accepting rules are trivially matched already (offset 0)
-        rule_to_slot = {rule: slot for slot, rule in enumerate(slot_to_rule)}
-        matched_rules = 0
-        for rule in tables.empty_matching_rules:
-            matched_rules |= 1 << rule_to_slot[rule]
-        consumed = 0
-        sampler = obs.engine_sampler("imfant")
-        stride = sampler.stride if sampler is not None else 0
-        dstride = self.deadline_stride
-        started = time.perf_counter()
-        deadline_at = self._deadline_at(started)
-        active: dict[int, int] = {}  # state -> activation bitmask J
-        for position, byte in enumerate(payload, start=1):
-            consumed = position
-            if deadline_at is not None and position % dstride == 0:
-                self._deadline_check(deadline_at, started, consumed, result)
-            enabled = by_symbol[byte]
-            nxt: dict[int, int] = {}
-            for src, dst, bel in enabled:
-                mask = (active.get(src, 0) | init_mask[src]) & bel
-                if mask:
-                    nxt[dst] = nxt.get(dst, 0) | mask
-                    if collect_stats:
-                        stats.transitions_taken += 1
-            active = nxt
-            for state, mask in nxt.items():
-                hit = mask & final_mask[state]
-                if hit:
-                    matched_rules |= hit
-                    for slot in _bits(hit):
-                        matches.add((slot_to_rule[slot], position))
-                    if pop_on_final:
-                        active[state] = mask & ~hit
-            if self.single_match and matched_rules == all_rules_mask:
-                break
-            if collect_stats:
-                stats.transitions_examined += len(enabled)
-                total = 0
-                peak = stats.max_state_activation
-                for mask in active.values():
-                    n = mask.bit_count()
-                    total += n
-                    if n > peak:
-                        peak = n
-                stats.active_pair_total += total
-                stats.max_state_activation = peak
-            if sampler is not None and position % stride == 0:
-                pairs = 0
-                width = 0
-                for mask in active.values():
-                    if mask:
-                        width += 1
-                        pairs += mask.bit_count()
-                sampler.observe(pairs, width, len(enabled))
-        stats.wall_seconds = time.perf_counter() - started
-        stats.chars_processed = consumed if self.single_match else len(payload)
-        stats.match_count = len(matches)
-        return result
-
-    # -- counting backend --------------------------------------------------------
-
-    def _run_counting(self, payload: bytes, collect_stats: bool) -> RunResult:
-        """The python step plus counter registers for the counting arcs.
-
-        Plain arcs run the exact ``_run_python`` activation step over
-        the shared symbol tables; each counting arc is one register
-        advanced per byte (O(1) amortised, see
+        Plain arcs run the activation step over the shared symbol
+        tables; under ``backend="counting"`` each counting arc is one
+        register advanced per byte (O(1) amortised, see
         :mod:`repro.engine.counting`), its in-range activation union
         contributed to the destination like any other transition.  With
-        zero registers the loop *is* the python backend — matches and
-        work counters agree bit for bit, which the conformance matrix
-        enforces.  With registers, ``transitions_examined`` charges one
-        evaluation per register per byte and live entries join
-        ``active_pair_total``, keeping the counters honest about the
-        bookkeeping the backend trades state explosion for.
+        zero registers (every python run, and counting over a plain
+        MFSA) the register block never runs.  With registers,
+        ``transitions_examined`` charges one evaluation per register per
+        byte and live entries join ``active_pair_total``, keeping the
+        counters honest about the bookkeeping the backend trades state
+        explosion for.
         """
         tables = self.tables
         by_symbol = tables.by_symbol
@@ -468,7 +374,7 @@ class IMfantEngine:
                 hit = mask & final_mask[state]
                 if hit:
                     matched_rules |= hit
-                    for slot in _bits(hit):
+                    for slot in iter_bits(hit):
                         matches.add((slot_to_rule[slot], position))
                     if pop_on_final:
                         active[state] = mask & ~hit
@@ -699,12 +605,7 @@ class IMfantEngine:
             BudgetMeter(self.dense_budget) if self.dense_budget is not None else None
         )
         try:
-            tier = DenseTier.build(
-                cache,
-                stride=self.dense_stride,
-                prefilter=self.dense_prefilter,
-                meter=meter,
-            )
+            tier = DenseTier.build(cache, meter=meter)
         except (AllocationFailed, MemoryBudgetExceeded):
             if force:
                 raise
@@ -755,12 +656,7 @@ class IMfantEngine:
             BudgetMeter(self.dense_budget) if self.dense_budget is not None else None
         )
         try:
-            self.dense_tier = DenseTier.build(
-                cache,
-                stride=self.dense_stride,
-                prefilter=self.dense_prefilter,
-                meter=meter,
-            )
+            self.dense_tier = DenseTier.build(cache, meter=meter)
         except (AllocationFailed, MemoryBudgetExceeded):
             return
         self._dense_counter(
@@ -847,8 +743,8 @@ class IMfantEngine:
         )
         self._dense_counter(
             registry,
-            "imfant_dense_prefilter_skipped_bytes_total",
-            "bytes skipped by self-loop runs (prefilter + block search)",
+            "imfant_dense_skipped_bytes_total",
+            "bytes skipped by self-loop runs (block search)",
             outcome.skipped_bytes,
         )
 
@@ -862,105 +758,3 @@ class IMfantEngine:
         stats.match_count = len(matches)
         self._maybe_rebuild(tier)
         return result
-
-    # -- numpy backend ----------------------------------------------------------
-
-    def _run_numpy(self, payload: bytes, collect_stats: bool) -> RunResult:
-        tables = self.tables
-        tables.ensure_arrays()
-        limbs = tables.limbs
-        src_tab, dst_tab, bel_tab = tables.np_src, tables.np_dst, tables.np_bel
-        final_rows_tab = tables.np_final_rows
-        init_arr = tables.np_init
-        final_arr = tables.np_final
-        slot_to_rule = tables.slot_to_rule
-        pop_on_final = self.pop_on_final
-
-        result = RunResult()
-        stats = result.stats
-        stats.mask_limbs = limbs
-        matches = result.matches
-        for rule in tables.empty_matching_rules:
-            matches.update((rule, end) for end in range(len(payload) + 1))
-
-        all_rules_mask = (1 << tables.num_rules) - 1
-        rule_to_slot = {rule: slot for slot, rule in enumerate(slot_to_rule)}
-        matched_rules = 0
-        for rule in tables.empty_matching_rules:
-            matched_rules |= 1 << rule_to_slot[rule]
-        single_match = self.single_match
-        consumed = 0
-        sampler = obs.engine_sampler("imfant")
-        stride = sampler.stride if sampler is not None else 0
-        dstride = self.deadline_stride
-        started = time.perf_counter()
-        deadline_at = self._deadline_at(started)
-        sv = np.zeros((tables.num_states, limbs), dtype=np.uint64)
-        scratch = np.zeros_like(sv)
-        for position, byte in enumerate(payload, start=1):
-            consumed = position
-            if deadline_at is not None and position % dstride == 0:
-                self._deadline_check(deadline_at, started, consumed, result)
-            src = src_tab[byte]
-            if src is None:
-                if single_match and matched_rules == all_rules_mask:
-                    break
-                if sv.any():
-                    sv.fill(0)
-                # keep the sampled positions (and the all-dead observation)
-                # aligned with the python backend's empty-symbol path
-                if sampler is not None and position % stride == 0:
-                    sampler.observe(0, 0, 0)
-                continue
-            dst = dst_tab[byte]
-            bel = bel_tab[byte]
-            contrib = (sv[src] | init_arr[src]) & bel  # (k, limbs)
-            scratch.fill(0)
-            np.bitwise_or.at(scratch, dst, contrib)
-            sv, scratch = scratch, sv
-            if collect_stats:
-                # counted before the early-exit check, matching the
-                # python backend's in-step accounting
-                stats.transitions_taken += int(np.count_nonzero(contrib.any(axis=1)))
-            rows = final_rows_tab[byte]
-            if rows is not None:
-                finals_dst = dst[rows]
-                hits = sv[finals_dst] & final_arr[finals_dst]
-                if hits.any():
-                    hit_rows, hit_limbs = np.nonzero(hits)
-                    for r, l in zip(hit_rows.tolist(), hit_limbs.tolist()):
-                        word = int(hits[r, l])
-                        matched_rules |= word << (64 * l)
-                        for bit in _bits(word):
-                            matches.add((slot_to_rule[64 * l + bit], position))
-                        if pop_on_final:
-                            # Idempotent per (state, limb): `word` is a
-                            # snapshot, so repeated rows re-clear harmlessly.
-                            sv[int(finals_dst[r]), l] &= ~np.uint64(word)
-            if single_match and matched_rules == all_rules_mask:
-                break
-            if collect_stats:
-                stats.transitions_examined += len(src)
-                popcounts = popcount_rows(sv)
-                stats.active_pair_total += int(popcounts.sum())
-                peak = int(popcounts.max()) if popcounts.size else 0
-                if peak > stats.max_state_activation:
-                    stats.max_state_activation = peak
-            if sampler is not None and position % stride == 0:
-                popcounts = popcount_rows(sv)
-                sampler.observe(
-                    int(popcounts.sum()),
-                    int(np.count_nonzero(popcounts)),
-                    len(src),
-                )
-        stats.wall_seconds = time.perf_counter() - started
-        stats.chars_processed = consumed if single_match else len(payload)
-        stats.match_count = len(matches)
-        return result
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -77,6 +77,7 @@ from repro.engine.dense import DEFAULT_PROMOTE_AFTER, DenseTier
 from repro.engine.lazy import LazyConfigCache
 from repro.engine.tables import MfsaTables, limbs_for
 from repro.guard.errors import AllocationFailed, ScanDeadlineExceeded, UsageError
+from repro.mfsa.activation import iter_bits
 from repro.mfsa.model import Mfsa
 
 __all__ = [
@@ -157,12 +158,6 @@ def _append_run(runs: list[list[int]], lo: int, hi: int) -> None:
         return
     runs.append([lo, hi])
 
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -314,7 +309,7 @@ class SfaScanner:
         pairs: list[tuple[int, int]] = []
         pairs_at_state = [0] * num_states
         for state in range(num_states):
-            for slot in _bits(live_slots[state]):
+            for slot in iter_bits(live_slots[state]):
                 pairs_at_state[state] |= 1 << len(pairs)
                 pairs.append((state, slot))
         self.pairs = pairs
@@ -343,11 +338,11 @@ class SfaScanner:
         for state in range(num_states):
             fin = tables.final_mask[state] & keep
             fin_pairs = 0
-            for slot in _bits(fin):
+            for slot in iter_bits(fin):
                 fin_pairs |= slot_pairs[slot]
             self.final_ext[state] = fin | lift(fin_pairs)
             live_pairs = 0
-            for slot in _bits(live_slots[state]):
+            for slot in iter_bits(live_slots[state]):
                 live_pairs |= slot_pairs[slot]
             self.live_ext[state] = live_slots[state] | lift(live_pairs)
 
@@ -358,7 +353,7 @@ class SfaScanner:
             for src, dst, bel in triples:
                 bel_kept = bel & keep
                 bel_pairs = 0
-                for slot in _bits(bel_kept):
+                for slot in iter_bits(bel_kept):
                     bel_pairs |= slot_pairs[slot]
                 ext = bel_kept | lift(bel_pairs)
                 if ext:
@@ -725,7 +720,7 @@ class SfaScanner:
                     if hit:
                         chit = hit & slots_area
                         if chit:
-                            for slot in _bits(chit):
+                            for slot in iter_bits(chit):
                                 rule = slot_to_rule[slot]
                                 const_match_set.add((rule, position))
                                 runs = const_runs.get(rule)
@@ -734,7 +729,7 @@ class SfaScanner:
                                 _append_pos(runs, position)
                         phit = hit >> pair_shift
                         if phit:
-                            for pair in _bits(phit):
+                            for pair in iter_bits(phit):
                                 runs = cond_runs.get(pair)
                                 if runs is None:
                                     runs = cond_runs[pair] = []
@@ -812,7 +807,7 @@ class SfaScanner:
             if not live:
                 continue
             candidate = pairs_at_state[state]
-            for pair in _bits(candidate):
+            for pair in iter_bits(candidate):
                 if (1 << pairs[pair][1]) & live:
                     mask |= 1 << pair
         return mask
@@ -842,7 +837,7 @@ class SfaScanner:
         }
         for rule, runs in b.const_matches.items():
             const_runs.setdefault(rule, []).extend(_shift_runs(runs, shift))
-        for pair in _bits(mid_const):
+        for pair in iter_bits(mid_const):
             runs = b.cond_matches.get(pair)
             if runs:
                 rule = self.tables.slot_to_rule[pairs[pair][1]]
@@ -855,7 +850,7 @@ class SfaScanner:
                 sel = reach & mid_const
                 if sel:
                     slots = 0
-                    for pair in _bits(sel):
+                    for pair in iter_bits(sel):
                         slots |= 1 << pairs[pair][1]
                     const_exit[state] = const_exit.get(state, 0) | slots
 
@@ -870,7 +865,7 @@ class SfaScanner:
         exit_reach: dict[int, int] = {}
         for state, reach in b.exit_reach.items():
             acc = 0
-            for pair in _bits(reach):
+            for pair in iter_bits(reach):
                 acc |= back(pair)
             if acc:
                 exit_reach[state] = acc
@@ -882,7 +877,7 @@ class SfaScanner:
             triggers = back(pair)
             if triggers:
                 shifted = list(_shift_runs(runs, shift))
-                for entry in _bits(triggers):
+                for entry in iter_bits(triggers):
                     cond_runs.setdefault(entry, []).extend(shifted)
 
         return ChunkMapping(
@@ -935,7 +930,7 @@ class SfaScanner:
                 sel = reach & entry_mask
                 if sel:
                     slots = 0
-                    for pair in _bits(sel):
+                    for pair in iter_bits(sel):
                         slots |= 1 << pairs[pair][1]
                     if slots:
                         exit_activation[state] = (

@@ -5,20 +5,15 @@ iNFAnt's core data structure "links each symbol in a standard
 engines build these tables once per automaton; building them is the
 algorithm's pre-processing step and is timed separately by the pipeline.
 
-Two encodings are produced:
-
-* Python lists of ``(src, dst)`` / ``(src, dst, bel_mask)`` tuples for the
-  interpretive engines;
-* NumPy arrays (``src``, ``dst`` vectors plus a ``(k, limbs)`` uint64
-  belonging matrix) for the vectorised engine — the CPU analogue of the
-  GPU layout.
+Per symbol the tables hold Python lists of ``(src, dst)`` /
+``(src, dst, bel_mask)`` tuples for the interpretive engines;
+:func:`byte_classes` compresses them into the byte equivalence classes
+the dense tier indexes by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.automata.fsa import Fsa
 from repro.labels import ALPHABET_SIZE
@@ -93,10 +88,6 @@ def limbs_for(num_rules: int) -> int:
     return max(1, (num_rules + _LIMB_BITS - 1) // _LIMB_BITS)
 
 
-def mask_to_limbs(mask: int, limbs: int) -> tuple[int, ...]:
-    return tuple((mask >> (_LIMB_BITS * i)) & 0xFFFFFFFFFFFFFFFF for i in range(limbs))
-
-
 @dataclass
 class FsaTables:
     """Symbol-indexed tables for one plain FSA (iNFAnt layout)."""
@@ -148,15 +139,6 @@ class MfsaTables:
     #: rules whose language contains ε (match at every offset)
     empty_matching_rules: list[int]
 
-    # NumPy views (built lazily by `ensure_arrays`)
-    limbs: int = 1
-    np_src: list | None = None
-    np_dst: list | None = None
-    np_bel: list | None = None
-    np_init: "np.ndarray | None" = None
-    np_final: "np.ndarray | None" = None
-    np_final_rows: list | None = None
-
     @classmethod
     def build(cls, mfsa: Mfsa) -> "MfsaTables":
         slots = mfsa.slot_of()
@@ -185,42 +167,3 @@ class MfsaTables:
     def byte_classes(self) -> ByteClasses:
         """Byte equivalence classes of this table (see :func:`byte_classes`)."""
         return byte_classes(self.by_symbol)
-
-    def ensure_arrays(self) -> None:
-        """Materialise the NumPy layout (idempotent)."""
-        if self.np_src is not None:
-            return
-        self.limbs = limbs_for(self.num_rules)
-        self.np_src = []
-        self.np_dst = []
-        self.np_bel = []
-        self.np_final_rows = []
-        final_arr = np.zeros((self.num_states, self.limbs), dtype=np.uint64)
-        init_arr = np.zeros((self.num_states, self.limbs), dtype=np.uint64)
-        for state in range(self.num_states):
-            final_arr[state] = mask_to_limbs(self.final_mask[state], self.limbs)
-            init_arr[state] = mask_to_limbs(self.init_mask[state], self.limbs)
-        self.np_init = init_arr
-        self.np_final = final_arr
-        for symbol in range(ALPHABET_SIZE):
-            triples = self.by_symbol[symbol]
-            if not triples:
-                self.np_src.append(None)
-                self.np_dst.append(None)
-                self.np_bel.append(None)
-                self.np_final_rows.append(None)
-                continue
-            src = np.fromiter((t[0] for t in triples), dtype=np.int64, count=len(triples))
-            dst = np.fromiter((t[1] for t in triples), dtype=np.int64, count=len(triples))
-            bel = np.zeros((len(triples), self.limbs), dtype=np.uint64)
-            for row, (_, _, mask) in enumerate(triples):
-                bel[row] = mask_to_limbs(mask, self.limbs)
-            self.np_src.append(src)
-            self.np_dst.append(dst)
-            self.np_bel.append(bel)
-            # rows whose destination can signal a match for some rule
-            rows = np.fromiter(
-                (i for i, (_, d, _) in enumerate(triples) if self.final_mask[d]),
-                dtype=np.int64,
-            )
-            self.np_final_rows.append(rows if rows.size else None)

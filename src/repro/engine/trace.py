@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.engine.tables import MfsaTables
+from repro.mfsa.activation import iter_bits
 from repro.mfsa.model import Mfsa
 
 
@@ -134,10 +135,10 @@ def trace_execution(mfsa: Mfsa, data: bytes | str) -> ExecutionTrace:
         activation: dict[int, tuple[int, ...]] = {}
         fired: list[tuple[int, int]] = []
         for state, mask in nxt.items():
-            rules = tuple(sorted(slot_to_rule[s] for s in _bits(mask)))
+            rules = tuple(sorted(slot_to_rule[s] for s in iter_bits(mask)))
             activation[state] = rules
             hit = mask & final_mask[state]
-            for slot in _bits(hit):
+            for slot in iter_bits(hit):
                 fired.append((slot_to_rule[slot], state))
         trace.steps.append(
             StepTrace(position=position, byte=byte, activation=activation,
@@ -145,9 +146,3 @@ def trace_execution(mfsa: Mfsa, data: bytes | str) -> ExecutionTrace:
         )
     return trace
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -14,7 +14,7 @@ The robustness layer threaded through the whole compile→match pipeline:
 * :mod:`repro.guard.compiler` — :class:`GuardedCompiler`, bisection-
   based per-rule failure isolation around ``compile_ruleset``;
 * :mod:`repro.guard.degrade` — :class:`GuardedMatcher`, the
-  dense→lazy→numpy→python backend ladder plus per-rule fallback simulation
+  dense→lazy→python backend ladder plus per-rule fallback simulation
   for quarantined rules;
 * :mod:`repro.guard.faultinject` — named injection points (compile
   faults, engine-step delay, cache pressure, allocation failure) that

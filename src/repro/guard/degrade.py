@@ -1,4 +1,4 @@
-"""The match-time degradation ladder: dense → lazy → numpy → python → per-rule.
+"""The match-time degradation ladder: dense → lazy → python → per-rule.
 
 A governed service must keep answering under pressure, just slower.
 :class:`GuardedMatcher` owns the engines for a (possibly quarantined)
@@ -60,6 +60,7 @@ __all__ = [
     "GuardedMatcher",
     "GuardedRunResult",
     "alloc_degrade_reason",
+    "next_backend",
 ]
 
 
@@ -79,7 +80,22 @@ def alloc_degrade_reason(exc: AllocationFailed) -> str:
 #: backend that can run an un-expanded :class:`CountingMfsa`, and it
 #: demotes straight to ``lazy`` (over the expanded automaton) rather
 #: than stepping through an index.
-BACKEND_LADDER = ("dense", "lazy", "numpy", "python")
+BACKEND_LADDER = ("dense", "lazy", "python")
+
+
+def next_backend(backend: str) -> Optional[str]:
+    """The rung one step down from ``backend``; ``None`` at the bottom.
+
+    ``counting`` steps to ``lazy``: its registers are gone, and the lazy
+    backend over the expanded automaton is the exact replacement (the
+    IMfant constructor expands a CountingMfsa for every non-counting
+    backend)."""
+    if backend == "counting":
+        return "lazy"
+    position = BACKEND_LADDER.index(backend)
+    if position + 1 >= len(BACKEND_LADDER):
+        return None
+    return BACKEND_LADDER[position + 1]
 
 
 @dataclass(frozen=True)
@@ -181,16 +197,9 @@ class GuardedMatcher:
 
     def _degrade(self, reason: str) -> bool:
         """Step down one backend; False when already at the bottom."""
-        if self.backend == "counting":
-            # Registers are gone; the lazy backend over the expanded
-            # automaton is the exact replacement (the IMfant constructor
-            # expands a CountingMfsa for every non-counting backend).
-            to_backend = "lazy"
-        else:
-            position = BACKEND_LADDER.index(self.backend)
-            if position + 1 >= len(BACKEND_LADDER):
-                return False
-            to_backend = BACKEND_LADDER[position + 1]
+        to_backend = next_backend(self.backend)
+        if to_backend is None:
+            return False
         step = DegradationStep(
             from_backend=self.backend,
             to_backend=to_backend,

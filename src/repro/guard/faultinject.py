@@ -71,7 +71,7 @@ Programmatic (tests)::
 
 Environment (CLI / CI)::
 
-    REPRO_FAULTS='engine.step_delay=0.01,alloc=numpy' repro match ...
+    REPRO_FAULTS='engine.step_delay=0.01,alloc=lazy' repro match ...
 
 The environment is parsed once at import; :func:`load_env` re-reads it.
 Injection state is process-global and **not** thread-scoped on purpose:

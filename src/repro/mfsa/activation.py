@@ -27,7 +27,7 @@ every traversed arc is exactly the paper's transition-validity condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.mfsa.model import Mfsa
 
@@ -84,7 +84,7 @@ def reference_match(
         for state, mask in enumerate(incoming):
             hit = mask & final_mask[state]
             if hit:
-                for slot in _bits(hit):
+                for slot in iter_bits(hit):
                     matches.add((slot_to_rule[slot], position))
                 if config.pop_on_final:
                     activation[state] &= ~hit
@@ -122,7 +122,8 @@ def _empty_matching_rules(mfsa: Mfsa) -> Iterable[int]:
             yield rule
 
 
-def _bits(mask: int) -> Iterable[int]:
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -21,10 +21,9 @@ minimising modelled latency, and return an auditable report:
   fastest on this ruleset/traffic pair.  The per-backend cost model
   (:meth:`~repro.engine.cost.CostModel.backend_run_cost`) supplies the
   prediction column; selection itself is by measured warm wall-clock,
-  because the numpy backend's fixed per-char dispatch overhead makes
-  it *lose* to interpretive python on sparse-activation rulesets (the
-  dotstar regression) — exactly the kind of inversion a pure model
-  would keep mispredicting.
+  because the per-byte constants a model assumes shift with the
+  ruleset and traffic (config-graph size, escape density, register
+  count) in ways only a measurement sees.
 
 The profiling cost is one engine pass per candidate over the sample
 (seconds at sample sizes).
@@ -42,6 +41,7 @@ from repro.engine.cost import CostModel
 from repro.engine.imfant import IMfantEngine
 from repro.engine.multithread import MachineModel, simulate_parallel_latency
 from repro.engine.sfa import SfaScanner
+from repro.guard.degrade import BACKEND_LADDER
 from repro.guard.errors import AllocationFailed
 from repro.mfsa.model import Mfsa
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
@@ -290,10 +290,8 @@ def choose_backend(
     not the warm-up ramp) and timed over ``repeats`` passes, keeping
     the best.  Selection is by measured wall-clock; the cost-model
     prediction rides along per candidate so a surprising pick is
-    auditable.  Measured selection is the point: the model's numpy
-    column is structurally optimistic on sparse-activation rulesets
-    (fixed kernel-dispatch overhead per char), and measurement is what
-    keeps such backends from being chosen where they lose.
+    auditable.  Measured selection is the point: measurement, not the
+    model, is what keeps a backend from being chosen where it loses.
 
     ``backends=None`` picks the default ladder, prepending ``counting``
     when ``mfsa`` is a :class:`~repro.counting.mfsa.CountingMfsa` with
@@ -308,7 +306,7 @@ def choose_backend(
     cost_model = cost_model or CostModel()
     has_registers = isinstance(mfsa, CountingMfsa) and bool(mfsa.counting)
     if backends is None:
-        backends = ("dense", "lazy", "numpy", "python")
+        backends = BACKEND_LADDER
         if has_registers:
             backends = ("counting",) + backends
 

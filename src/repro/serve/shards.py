@@ -23,7 +23,7 @@ them — so this module lifts chunkscan's overlap/stitch semantics into a
   ArtifactStore` instead of recompiling.
 * **Degradation** — an :class:`~repro.guard.errors.AllocationFailed`
   while building worker engines steps the pool down the
-  :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → numpy → python)
+  :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → python)
   and retries, mirroring :class:`~repro.guard.degrade.GuardedMatcher`;
   every step increments ``guard_degradations_total``.
 * **Supervision** — a dead worker process (OOM-kill, segfault, drill)
@@ -90,7 +90,12 @@ from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.engine.chunkscan import SCAN_STRATEGIES, ruleset_max_width
 from repro.engine.sfa import ChunkMapping, SfaScanner
 from repro.guard import faultinject
-from repro.guard.degrade import BACKEND_LADDER, DegradationStep, alloc_degrade_reason
+from repro.guard.degrade import (
+    BACKEND_LADDER,
+    DegradationStep,
+    alloc_degrade_reason,
+    next_backend,
+)
 from repro.guard.errors import (
     AllocationFailed,
     ReproError,
@@ -528,15 +533,9 @@ class ShardPool:
     def _degrade(self, reason: str) -> bool:
         """Step the whole pool down one backend (see GuardedMatcher)."""
         with self._lock:
-            if self.backend == "counting":
-                # registers gone → the expanded automaton under lazy
-                # (the same special case GuardedMatcher takes)
-                to_backend = "lazy"
-            else:
-                position = BACKEND_LADDER.index(self.backend)
-                if position + 1 >= len(BACKEND_LADDER):
-                    return False
-                to_backend = BACKEND_LADDER[position + 1]
+            to_backend = next_backend(self.backend)
+            if to_backend is None:
+                return False
             step = DegradationStep(
                 from_backend=self.backend,
                 to_backend=to_backend,

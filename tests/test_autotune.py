@@ -114,7 +114,7 @@ class TestChooseScanStrategy:
 
 
 class TestChooseBackend:
-    """Measured backend selection, including the numpy regression guard."""
+    """Measured backend selection over the ladder."""
 
     @staticmethod
     def _compiled(name):
@@ -133,7 +133,7 @@ class TestChooseBackend:
         report = choose_backend(mfsa, sample, repeats=1)
         assert report.sample_bytes == len(sample)
         assert {c.backend for c in report.candidates} == {
-            "dense", "lazy", "numpy", "python",
+            "dense", "lazy", "python",
         }
         timed = [c for c in report.candidates if c.measured_seconds is not None]
         assert report.best in timed
@@ -142,27 +142,6 @@ class TestChooseBackend:
         )
         assert report.best.throughput is not None
         assert all(c.modelled_cost > 0 for c in report.candidates)
-
-    def test_numpy_not_selected_on_sparse_activation(self):
-        """The BENCH_lazy regression: numpy ran 0.59x python on
-        dotstar_rules.  Both the measurement and the per-backend cost
-        model must now keep numpy from being selected there."""
-        from repro.engine.cost import CostModel
-        from repro.engine.imfant import IMfantEngine as Engine
-        from repro.pipeline.autotune import choose_backend
-
-        mfsa, sample = self._compiled("dotstar_rules")
-        report = choose_backend(mfsa, sample, backends=("python", "numpy"),
-                                repeats=2)
-        assert report.best.backend != "numpy"
-
-        # The model agrees: sparse activation means the fixed per-char
-        # dispatch overhead dominates and numpy costs more than python.
-        stats = Engine(mfsa, backend="lazy").run(sample).stats
-        model = CostModel()
-        assert model.backend_run_cost(stats, "numpy") > model.backend_run_cost(
-            stats, "python"
-        )
 
     def test_backend_run_cost_rejects_unknown_backend(self):
         from repro.engine.cost import CostModel

@@ -70,12 +70,21 @@ class TestMatchMain:
         assert match_main([str(stream_file), "--mfsa-dir", str(tmp_path / "nope")]) == 2
         assert "no .anml files" in capsys.readouterr().err
 
-    def test_numpy_backend_and_threads(self, ruleset_file, stream_file, capsys):
+    def test_lazy_backend_and_threads(self, ruleset_file, stream_file, capsys):
         assert match_main([
             str(stream_file), "--ruleset", str(ruleset_file),
-            "-m", "1", "-t", "2", "--backend", "numpy",
+            "-m", "1", "-t", "2", "--backend", "lazy",
         ]) == 0
         assert "3 MFSA(s)" in capsys.readouterr().out
+
+    def test_removed_backend_and_dense_knobs_rejected(self, ruleset_file, stream_file):
+        base = [str(stream_file), "--ruleset", str(ruleset_file)]
+        for extra in (["--backend", "numpy"],
+                      ["--backend", "dense", "--dense-stride", "2"],
+                      ["--backend", "dense", "--no-prefilter"]):
+            with pytest.raises(SystemExit) as info:
+                match_main(base + extra)
+            assert info.value.code == 2, extra
 
 
 class TestVizMain:

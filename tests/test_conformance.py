@@ -2,8 +2,8 @@
 
 The differential property tests (tests/test_differential.py) fuzz small
 random rulesets; this suite pins down the *curated* surface instead —
-every builtin ruleset, every iMFAnt backend (python / numpy / lazy /
-dense — the last both cold and with its compiled tier force-promoted —
+every builtin ruleset, every iMFAnt backend (python / lazy / dense —
+the last both cold and with its compiled tier force-promoted —
 plus counting, which on plain automata degenerates to the interpretive
 scan with zero registers) and the sharded serving path must report
 byte-identical results:
@@ -33,7 +33,7 @@ from repro.engine.counters import ExecutionStats
 from repro.engine.imfant import IMfantEngine
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
-BACKENDS = ("python", "numpy", "lazy", "dense", "counting")
+BACKENDS = ("python", "lazy", "dense", "counting")
 
 #: The sampler quartet every backend must fill identically.  The lazy
 #: backend additionally registers ``imfant_lazy_cache_*`` instruments;

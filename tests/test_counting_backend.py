@@ -38,7 +38,7 @@ from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 pytestmark = pytest.mark.counting
 
-BACKENDS = ("python", "numpy", "lazy", "dense", "counting")
+BACKENDS = ("python", "lazy", "dense", "counting")
 
 #: Text alphabet covering every atom the pattern strategy can emit.
 TEXT_ALPHABET = "abxy012 \n"

@@ -4,7 +4,7 @@ Covers the full promotion ladder: byte-class compression edge cases,
 promotion gates (warm-and-stable only), mid-buffer de-opt parity with
 the interpretive oracle, cache-flush invalidation, budget/allocation
 failure stepping the guard ladder back to lazy, the SFA bulk kernel,
-and the stride-2 / no-prefilter knobs.
+and self-loop run skipping.
 """
 
 from __future__ import annotations
@@ -111,8 +111,6 @@ class TestLimbBoundaryRulesets:
         expect = _python_matches(mfsa, payload)
         engine = _promoted_engine(mfsa, payload)
         assert engine.run(payload).matches == expect
-        # the numpy backend splits these masks across two uint64 limbs
-        assert IMfantEngine(mfsa, backend="numpy").run(payload).matches == expect
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +147,6 @@ class TestPromotionGates:
         engine.run(b"a")
         assert engine.promote_dense(force=True)
         assert engine.dense_tier is not None and engine.dense_tier.valid()
-
-    def test_build_rejects_bad_stride(self):
-        engine = IMfantEngine(_compile_one(["ab"]), backend="dense")
-        engine.run(b"ab")
-        with pytest.raises(ValueError):
-            DenseTier.build(engine.lazy_cache, stride=3)
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +288,12 @@ class TestSfaBulkKernel:
 
 
 # ---------------------------------------------------------------------------
-# Knobs: stride-2 table, literal prefilter
+# Knobs: run skipping, promotion threshold
 # ---------------------------------------------------------------------------
 
 
 class TestDenseKnobs:
-    @pytest.mark.parametrize("stride,prefilter", [(2, True), (1, False), (2, False)])
-    def test_knobs_preserve_matches(self, stride, prefilter):
-        mfsa = _compile_one(DEOPT_PATTERNS)
-        payload = _demo_stream(list(DEOPT_PATTERNS), 4096, seed=23)
-        engine = _promoted_engine(
-            mfsa, payload, dense_stride=stride, dense_prefilter=prefilter
-        )
-        assert engine.run(payload).matches == _python_matches(mfsa, payload)
-
-    def test_prefilter_skips_self_loop_runs(self):
+    def test_block_search_skips_self_loop_runs(self):
         mfsa = _compile_one(["needle"])
         noise = b"x" * 2048
         payload = noise + b"needle" + noise

@@ -4,8 +4,8 @@ For a random ruleset and stream, the following must all report the exact
 same ``(rule, end)`` set:
 
 1. per-rule reference NFA simulation (itself validated against `re`);
-2. iNFAnt per rule (python + numpy backends);
-3. iMFAnt over the merged MFSA (python + numpy + lazy), at several M;
+2. iNFAnt per rule;
+3. iMFAnt over the merged MFSA (every backend), at several M;
 4. the activation-function reference executor;
 5. the streaming chunked matcher;
 6. the ANML write→read→execute path;
@@ -54,19 +54,18 @@ def test_all_engines_agree(data):
         oracle |= {(rule_id, e) for e in find_match_ends(fsa, text)}
 
     # 2. iNFAnt per rule
-    for backend in ("python", "numpy"):
-        got = set()
-        for rule_id, fsa in fsas:
-            got |= INfantEngine(fsa, rule_id, backend=backend).run(text).matches
-        assert got == oracle, f"iNFAnt[{backend}]"
+    got = set()
+    for rule_id, fsa in fsas:
+        got |= INfantEngine(fsa, rule_id).run(text).matches
+    assert got == oracle, "iNFAnt"
 
-    # 3. iMFAnt at several merging factors (all five backends; lazy
+    # 3. iMFAnt at several merging factors (all four backends; lazy
     #    exercising its config-cache memoization, dense running cold —
     #    i.e. through the same lazy path under the dense driver — and
     #    counting in its zero-register degenerate mode on plain MFSAs)
     for m in (1, 2, 0):
         mfsas = merge_ruleset(fsas, m)
-        for backend in ("python", "numpy", "lazy", "dense", "counting"):
+        for backend in ("python", "lazy", "dense", "counting"):
             got = set()
             for mfsa in mfsas:
                 got |= IMfantEngine(mfsa, backend=backend).run(text).matches

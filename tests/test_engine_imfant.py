@@ -1,4 +1,4 @@
-"""Tests for the iMFAnt engine (both backends)."""
+"""Tests for the iMFAnt engine (python and lazy backends)."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.automata.optimize import compile_re_to_fsa
 from repro.engine.imfant import IMfantEngine
 from repro.engine.infant import INfantEngine
-from repro.engine.tables import MfsaTables, limbs_for, mask_to_limbs
+from repro.engine.tables import MfsaTables, limbs_for
 from repro.mfsa.activation import ActivationConfig, reference_match
 from repro.mfsa.merge import merge_fsas
 
@@ -25,10 +25,6 @@ class TestTables:
         assert limbs_for(65) == 2
         assert limbs_for(300) == 5
 
-    def test_mask_to_limbs(self):
-        mask = (1 << 70) | 1
-        assert mask_to_limbs(mask, 2) == (1, 1 << 6)
-
     def test_build_masks(self):
         mfsa = build(["ab", "ac"])
         tables = MfsaTables.build(mfsa)
@@ -36,16 +32,9 @@ class TestTables:
         assert sum(1 for m in tables.init_mask if m) == 1  # shared initial
         assert sum(1 for m in tables.final_mask if m) == 2
 
-    def test_ensure_arrays_idempotent(self):
-        tables = MfsaTables.build(build(["ab"]))
-        tables.ensure_arrays()
-        first = tables.np_src
-        tables.ensure_arrays()
-        assert tables.np_src is first
-
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_matches_reference(self, backend):
         mfsa = build(["(ad|cb)ab", "a(b|c)"])
         engine = IMfantEngine(mfsa, backend=backend)
@@ -55,13 +44,13 @@ class TestBackends:
         with pytest.raises(ValueError):
             IMfantEngine(build(["a"]), backend="cuda")
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_empty_matching_rules(self, backend):
         mfsa = build(["a*", "b"])
         got = IMfantEngine(mfsa, backend=backend).run("b").matches
         assert got == {(0, 0), (0, 1), (1, 1)}
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_dead_symbol_discards_paths(self, backend):
         mfsa = build(["ab"])
         engine = IMfantEngine(mfsa, backend=backend)
@@ -71,22 +60,22 @@ class TestBackends:
         mfsa = build(["abc", "a[bc]d", "xy"])
         text = "abcxydabcd"
         py = IMfantEngine(mfsa, backend="python").run(text).stats
-        np_ = IMfantEngine(mfsa, backend="numpy").run(text).stats
-        assert py.transitions_examined == np_.transitions_examined
-        assert py.transitions_taken == np_.transitions_taken
-        assert py.active_pair_total == np_.active_pair_total
-        assert py.max_state_activation == np_.max_state_activation
+        lazy = IMfantEngine(mfsa, backend="lazy").run(text).stats
+        assert py.transitions_examined == lazy.transitions_examined
+        assert py.transitions_taken == lazy.transitions_taken
+        assert py.active_pair_total == lazy.active_pair_total
+        assert py.max_state_activation == lazy.max_state_activation
 
     def test_multi_limb_rules(self):
-        """More than 64 rules exercises the multi-limb numpy path."""
+        """More than 64 rules: activation masks wider than one word."""
         patterns = [f"x{chr(97 + i % 26)}{chr(97 + (i // 26) % 26)}y" for i in range(70)]
         mfsa = build(patterns)
         text = "xaay xbay xzzy"
         expected = reference_match(mfsa, text)
-        assert IMfantEngine(mfsa, backend="numpy").run(text).matches == expected
+        assert IMfantEngine(mfsa, backend="lazy").run(text).matches == expected
         assert IMfantEngine(mfsa, backend="python").run(text).matches == expected
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_pop_on_final(self, backend):
         mfsa = build(["ab+"])
         engine = IMfantEngine(mfsa, backend=backend, pop_on_final=True)
@@ -111,21 +100,21 @@ def test_backend_agreement_property(data):
     mfsa = build(patterns)
     expected = reference_match(mfsa, text)
     py = IMfantEngine(mfsa, backend="python").run(text)
-    np_ = IMfantEngine(mfsa, backend="numpy").run(text)
+    lazy = IMfantEngine(mfsa, backend="lazy").run(text)
     assert py.matches == expected
-    assert np_.matches == expected
-    assert py.stats.active_pair_total == np_.stats.active_pair_total
+    assert lazy.matches == expected
+    assert py.stats.active_pair_total == lazy.stats.active_pair_total
 
 
 class TestSingleMatch:
-    @pytest.mark.parametrize("backend", ["python", "numpy", "lazy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_first_match_per_rule_only(self, backend):
         mfsa = build(["ab", "cd"])
         engine = IMfantEngine(mfsa, backend=backend, single_match=True)
         got = engine.run("ababcdcd").matches
         assert got == {(0, 2), (1, 6)}
 
-    @pytest.mark.parametrize("backend", ["python", "numpy", "lazy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_early_exit_stops_scanning(self, backend):
         mfsa = build(["ab"])
         engine = IMfantEngine(mfsa, backend=backend, single_match=True)
@@ -133,7 +122,7 @@ class TestSingleMatch:
         stats = engine.run(stream).stats
         assert stats.chars_processed == 2
 
-    @pytest.mark.parametrize("backend", ["python", "numpy", "lazy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_no_early_exit_until_all_rules_fire(self, backend):
         mfsa = build(["ab", "zz"])
         engine = IMfantEngine(mfsa, backend=backend, single_match=True)
@@ -142,12 +131,7 @@ class TestSingleMatch:
         assert result.matches == {(0, 2), (1, 54)}
         assert result.stats.chars_processed == 54
 
-    def test_numpy_backend_first_match_semantics(self):
-        mfsa = build(["a+"])
-        engine = IMfantEngine(mfsa, backend="numpy", single_match=True)
-        assert engine.run("aaa").matches == {(0, 1)}
-
-    @pytest.mark.parametrize("backend", ["python", "numpy", "lazy"])
+    @pytest.mark.parametrize("backend", ["python", "lazy"])
     def test_empty_rule_counts_as_matched(self, backend):
         mfsa = build(["a*", "b"])
         engine = IMfantEngine(mfsa, backend=backend, single_match=True)
@@ -160,18 +144,18 @@ class TestSingleMatch:
         assert IMfantEngine(mfsa).run("aaa").matches == {(0, 1), (0, 2), (0, 3)}
 
     def test_backends_agree_on_single_match_stats(self):
-        """The numpy backend early-exits like the python one and reports
+        """Every backend early-exits like the python one and reports
         the bytes actually consumed; work counters agree position for
         position (taken is counted in-step, examined post-exit)."""
         mfsa = build(["abc", "a[bc]d", "xy"])
         text = "abcxyzacd" + "z" * 200 + "xy"
         results = {
             backend: IMfantEngine(mfsa, backend=backend, single_match=True).run(text)
-            for backend in ("python", "numpy", "lazy")
+            for backend in ("python", "lazy", "dense", "counting")
         }
         py = results["python"]
         assert py.stats.chars_processed < len(text)  # exit actually fired
-        for backend in ("numpy", "lazy"):
+        for backend in ("lazy", "dense", "counting"):
             other = results[backend]
             assert other.matches == py.matches, backend
             assert other.stats.chars_processed == py.stats.chars_processed, backend
@@ -179,10 +163,10 @@ class TestSingleMatch:
             assert other.stats.transitions_taken == py.stats.transitions_taken, backend
             assert other.stats.active_pair_total == py.stats.active_pair_total, backend
 
-    def test_numpy_dead_symbol_early_exit(self):
+    def test_dead_symbol_early_exit(self):
         """All rules ε-accepting: every backend consumes exactly one byte
         even when that byte enables no transitions."""
         mfsa = build(["a*", "b*"])
-        for backend in ("python", "numpy", "lazy"):
+        for backend in ("python", "lazy", "dense", "counting"):
             stats = IMfantEngine(mfsa, backend=backend, single_match=True).run("zzzz").stats
             assert stats.chars_processed == 1, backend

@@ -76,43 +76,9 @@ class TestEngine:
         assert stats.chars_processed == 3
 
 
-class TestNumpyBackend:
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            INfantEngine(compile_re_to_fsa("a"), backend="cuda")
-
-    def test_matches_python_backend(self):
-        fsa = compile_re_to_fsa("a(b|c)+d")
-        text = "zabcbdabdx" * 3
-        py = INfantEngine(fsa, 5, backend="python").run(text)
-        np_ = INfantEngine(fsa, 5, backend="numpy").run(text)
-        assert np_.matches == py.matches
-        assert np_.stats.transitions_examined == py.stats.transitions_examined
-        assert np_.stats.active_pair_total == py.stats.active_pair_total
-
-    def test_many_states_multi_limb(self):
-        """>64 states exercises the multi-limb bit-vector path."""
-        pattern = "".join("ab" for _ in range(40)) + "c"  # ~81 states
-        fsa = compile_re_to_fsa(pattern)
-        assert fsa.num_states > 64
-        text = "ab" * 40 + "c"
-        py = INfantEngine(fsa, backend="python").run(text)
-        np_ = INfantEngine(fsa, backend="numpy").run(text)
-        assert np_.matches == py.matches == {(0, 81)}
-
-    def test_empty_matching_rule(self):
-        got = INfantEngine(compile_re_to_fsa("a*"), backend="numpy").run("bb")
-        assert got.matches == {(0, 0), (0, 1), (0, 2)}
-
-    def test_dead_symbol_clears_state(self):
-        engine = INfantEngine(compile_re_to_fsa("ab"), backend="numpy")
-        assert engine.run("a\x00b").matches == set()
-
-
-@pytest.mark.parametrize("backend", ["python", "numpy"])
 @given(pattern=ere_patterns(), text=input_strings())
 @settings(max_examples=100, deadline=None)
-def test_agrees_with_reference_property(backend, pattern, text):
+def test_agrees_with_reference_property(pattern, text):
     fsa = compile_re_to_fsa(pattern)
-    engine = INfantEngine(fsa, rule_id=0, backend=backend)
+    engine = INfantEngine(fsa, rule_id=0)
     assert engine.run(text).matches == {(0, e) for e in find_match_ends(fsa, text)}

@@ -1,26 +1,15 @@
 """Direct tests for the engine pre-processing tables (iNFAnt/iMFAnt layouts)."""
 
-import numpy as np
 import pytest
 
 from repro.automata.optimize import compile_re_to_fsa
-from repro.engine.tables import FsaTables, MfsaTables, limbs_for, mask_to_limbs
+from repro.engine.tables import FsaTables, MfsaTables, limbs_for
 from repro.mfsa.merge import merge_fsas
 
 from conftest import compile_ruleset_fsas
 
 
-class TestMaskToLimbs:
-    def test_low_word(self):
-        assert mask_to_limbs(0b1011, 1) == (0b1011,)
-
-    def test_split_words(self):
-        mask = (1 << 64) | (1 << 63) | 1
-        assert mask_to_limbs(mask, 2) == ((1 << 63) | 1, 1)
-
-    def test_padding(self):
-        assert mask_to_limbs(5, 3) == (5, 0, 0)
-
+class TestLimbsFor:
     def test_limbs_for_boundaries(self):
         assert [limbs_for(n) for n in (0, 1, 63, 64, 65, 128, 129)] == \
                [1, 1, 1, 1, 2, 2, 3]
@@ -47,44 +36,10 @@ class TestMfsaTables:
     @pytest.fixture
     def tables(self):
         mfsa = merge_fsas(compile_ruleset_fsas(["ab", "a[bc]", "ad"]))
-        tables = MfsaTables.build(mfsa)
-        tables.ensure_arrays()
-        return tables
+        return MfsaTables.build(mfsa)
 
     def test_slot_to_rule_dense(self, tables):
         assert sorted(tables.slot_to_rule) == [0, 1, 2]
-
-    def test_numpy_arrays_consistent_with_lists(self, tables):
-        for byte in range(256):
-            triples = tables.by_symbol[byte]
-            if not triples:
-                assert tables.np_src[byte] is None
-                continue
-            assert tables.np_src[byte].tolist() == [t[0] for t in triples]
-            assert tables.np_dst[byte].tolist() == [t[1] for t in triples]
-            for row, (_, _, mask) in enumerate(triples):
-                words = tables.np_bel[byte][row]
-                rebuilt = 0
-                for i, word in enumerate(words.tolist()):
-                    rebuilt |= word << (64 * i)
-                assert rebuilt == mask
-
-    def test_final_rows_point_at_final_capable_destinations(self, tables):
-        for byte in range(256):
-            rows = tables.np_final_rows[byte]
-            if rows is None:
-                continue
-            dst = tables.np_dst[byte]
-            for row in rows.tolist():
-                assert tables.final_mask[int(dst[row])] != 0
-
-    def test_init_final_arrays_match_masks(self, tables):
-        for state in range(tables.num_states):
-            init_words = tables.np_init[state].tolist()
-            rebuilt = 0
-            for i, word in enumerate(init_words):
-                rebuilt |= word << (64 * i)
-            assert rebuilt == tables.init_mask[state]
 
     def test_empty_matching_rules_listed(self):
         mfsa = merge_fsas(compile_ruleset_fsas(["a*", "b"]))

@@ -96,18 +96,23 @@ class TestScanFaults:
 
 class TestAllocFaults:
     def test_alloc_fault_becomes_allocation_failed(self, mfsa):
-        with faultinject.inject("alloc", "numpy"):
+        with faultinject.inject("alloc", "lazy"):
             with pytest.raises(AllocationFailed) as info:
-                IMfantEngine(mfsa, backend="numpy")
+                IMfantEngine(mfsa, backend="lazy")
         assert isinstance(info.value, ReproError)
-        assert "numpy" in str(info.value)
+        assert "lazy" in str(info.value)
 
     def test_guarded_matcher_degrades_past_the_fault(self, mfsa):
-        with faultinject.inject("alloc", "numpy"):
-            matcher = GuardedMatcher([mfsa], backend="numpy")
-            run = matcher.run(b"zzabczzabdzz")
+        payload = b"zzabczzabdzz"
+        with faultinject.inject("alloc", "lazy"):
+            matcher = GuardedMatcher([mfsa], backend="lazy")
+            run = matcher.run(payload)
         assert matcher.backend == "python"
-        assert [s.to_backend for s in run.degradations] == ["python"]
+        assert [(s.from_backend, s.to_backend) for s in run.degradations] == [
+            ("lazy", "python")
+        ]
+        assert run.degradations[0].reason.startswith("allocation-failure:")
+        assert run.matches == IMfantEngine(mfsa).run(payload).matches
         assert (0, 5) in run.matches and (1, 10) in run.matches
 
     def test_ladder_bottom_propagates(self, mfsa):
@@ -117,9 +122,9 @@ class TestAllocFaults:
 
     def test_policy_can_refuse_to_degrade(self, mfsa):
         policy = DegradePolicy(on_alloc_failure=False)
-        with faultinject.inject("alloc", "numpy"):
+        with faultinject.inject("alloc", "lazy"):
             with pytest.raises(AllocationFailed):
-                GuardedMatcher([mfsa], backend="numpy", policy=policy).run(b"abc")
+                GuardedMatcher([mfsa], backend="lazy", policy=policy).run(b"abc")
 
 
 class TestCachePressureFaults:
@@ -136,18 +141,18 @@ class TestCachePressureFaults:
         # the thrashing run itself is exact ...
         assert (0, 3) in first.matches
         # ... and the matcher has stepped down for subsequent runs
-        assert matcher.backend == "numpy"
+        assert matcher.backend == "python"
         assert any("cache-thrash" in s.reason for s in matcher.degradations)
 
 
 class TestEnvActivation:
     def test_repro_faults_env_parses(self):
         armed = faultinject.load_env(
-            {"REPRO_FAULTS": "engine.step_delay=0.01, alloc=numpy"}
+            {"REPRO_FAULTS": "engine.step_delay=0.01, alloc=lazy"}
         )
         assert armed == 2
         assert faultinject.value("engine.step_delay") == 0.01
-        assert faultinject.value("alloc") == "numpy"
+        assert faultinject.value("alloc") == "lazy"
 
     def test_unknown_point_is_loud(self):
         with pytest.raises(ValueError):
@@ -173,8 +178,8 @@ class TestGuardCounters:
 
     def test_degradations_counted(self, mfsa):
         with obs.capture() as cap:
-            with faultinject.inject("alloc", "numpy"):
-                GuardedMatcher([mfsa], backend="numpy").run(b"abc")
+            with faultinject.inject("alloc", "lazy"):
+                GuardedMatcher([mfsa], backend="lazy").run(b"abc")
         counter = next(i for i in cap.registry.instruments()
                        if i.name == "guard_degradations_total")
         assert counter.snapshot()["value"] == 1

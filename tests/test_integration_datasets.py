@@ -45,7 +45,7 @@ def test_imfant_matches_baseline(suite, baseline, merging_factor):
     compiled = compile_ruleset(
         ruleset.patterns, CompileOptions(merging_factor=merging_factor, emit_anml=False)
     )
-    for backend in ("python", "numpy"):
+    for backend in ("python", "lazy"):
         got = set()
         for mfsa in compiled.mfsas:
             got |= IMfantEngine(mfsa, backend=backend).run(stream).matches

@@ -2,7 +2,7 @@
 
 Covers the ISSUE-1 satellite requirements:
 
-* cross-backend metric agreement — the python and numpy iMFAnt backends
+* cross-backend metric agreement — the python and lazy iMFAnt backends
   produce *identical* active-set / frontier / transitions histograms
   (the work-counter agreement invariant extended to distributions);
 * multithread span integrity — every worker span nests under the pool's
@@ -17,9 +17,7 @@ import repro.obs as obs
 from repro.datasets import list_builtin, load_builtin
 from repro.engine.hybrid import HybridEngine
 from repro.engine.imfant import IMfantEngine
-from repro.engine.infant import INfantEngine
 from repro.engine.multithread import run_pool
-from repro.automata.optimize import compile_re_to_fsa
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 
@@ -120,14 +118,14 @@ def test_imfant_run_span_attributes(small_ruleset):
 
 @pytest.mark.parametrize("ruleset_name", sorted(list_builtin()))
 def test_cross_backend_histogram_agreement(ruleset_name):
-    """Satellite: python and numpy backends sample identical distributions
+    """Satellite: python and lazy backends sample identical distributions
     on every builtin ruleset."""
     patterns = list(load_builtin(ruleset_name).patterns)
     result = compile_ruleset(patterns, CompileOptions(merging_factor=0, emit_anml=False))
     data = _stream_for(patterns, 2048, seed=11)
 
     snapshots = {}
-    for backend in ("python", "numpy"):
+    for backend in ("python", "lazy"):
         engine = IMfantEngine(result.mfsas[0], backend=backend)
         with obs.capture(stride=16) as cap:
             engine.run(data)
@@ -138,11 +136,11 @@ def test_cross_backend_histogram_agreement(ruleset_name):
         assert cap.registry.get("imfant_samples_total").value == len(data) // 16
 
     for name in ("active_set_size", "frontier_width", "transitions_per_byte"):
-        py, np_ = snapshots["python"][name], snapshots["numpy"][name]
-        assert py["counts"] == np_["counts"], (ruleset_name, name)
-        assert py["sum"] == np_["sum"], (ruleset_name, name)
-        assert py["count"] == np_["count"], (ruleset_name, name)
-        assert py["min"] == np_["min"] and py["max"] == np_["max"], (ruleset_name, name)
+        py, lazy = snapshots["python"][name], snapshots["lazy"][name]
+        assert py["counts"] == lazy["counts"], (ruleset_name, name)
+        assert py["sum"] == lazy["sum"], (ruleset_name, name)
+        assert py["count"] == lazy["count"], (ruleset_name, name)
+        assert py["min"] == lazy["min"] and py["max"] == lazy["max"], (ruleset_name, name)
 
 
 def test_cross_backend_agreement_with_stride_one(small_ruleset):
@@ -150,13 +148,13 @@ def test_cross_backend_agreement_with_stride_one(small_ruleset):
     result = compile_ruleset(small_ruleset, CompileOptions(emit_anml=False))
     data = _stream_for(small_ruleset, 512)
     sums = {}
-    for backend in ("python", "numpy"):
+    for backend in ("python", "lazy"):
         with obs.capture(stride=1) as cap:
             IMfantEngine(result.mfsas[0], backend=backend).run(data)
         hist = cap.registry.get("imfant_active_set_size")
         sums[backend] = (hist.sum, hist.count, tuple(hist.counts))
         # stride 1: histogram sum equals the engine's own active-pair counter
-    assert sums["python"] == sums["numpy"]
+    assert sums["python"] == sums["lazy"]
 
 
 def test_stride_one_histogram_matches_work_counters(small_ruleset):
@@ -167,18 +165,6 @@ def test_stride_one_histogram_matches_work_counters(small_ruleset):
         run = engine.run(data)
     assert cap.registry.get("imfant_active_set_size").sum == run.stats.active_pair_total
     assert cap.registry.get("imfant_transitions_per_byte").sum == run.stats.transitions_examined
-
-
-def test_infant_cross_backend_histogram_agreement():
-    fsa = compile_re_to_fsa("a[bc]+d")
-    data = b"xabcbcd" * 100
-    snaps = {}
-    for backend in ("python", "numpy"):
-        with obs.capture(stride=8) as cap:
-            INfantEngine(fsa, backend=backend).run(data)
-        snaps[backend] = cap.registry.get("infant_active_set_size").snapshot()
-    assert snaps["python"]["counts"] == snaps["numpy"]["counts"]
-    assert snaps["python"]["sum"] == snaps["numpy"]["sum"]
 
 
 def test_engines_emit_no_metrics_when_disabled(small_ruleset):

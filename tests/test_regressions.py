@@ -7,7 +7,6 @@ silently regress.  The docstrings record the original failure mode.
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
 from repro.anml import read_anml, write_anml
-from repro.engine.imfant import IMfantEngine
 from repro.mfsa.activation import reference_match
 from repro.mfsa.merge import merge_fsas
 
@@ -81,21 +80,6 @@ class TestDfaOffsetZeroMatches:
 
         dfa = determinize(compile_ruleset_fsas(["a*"]))
         assert (0, 0) in DfaEngine(dfa).run(b"").matches
-
-
-class TestNumpyPopOnFinalLimbs:
-    """pop_on_final in the numpy backend originally deduplicated clears
-    per *state*, skipping the second limb when one state's hits spanned
-    multiple 64-bit words."""
-
-    def test_multi_limb_pop(self):
-        # >64 rules all sharing a final state exercises multi-limb hits
-        patterns = [f"a{chr(98 + i % 24)}" for i in range(70)]
-        mfsa = merge_fsas(compile_ruleset_fsas(list(dict.fromkeys(patterns))))
-        text = "ab ac ad"
-        py = IMfantEngine(mfsa, "python", pop_on_final=True).run(text).matches
-        np_ = IMfantEngine(mfsa, "numpy", pop_on_final=True).run(text).matches
-        assert py == np_
 
 
 class TestRequiredLiteralRuns:
