@@ -1,17 +1,16 @@
-"""Ablation — merging *counting* automata (MFSA × counting-set).
+"""Ablation — merging *counting* automata (MFSA × counting).
 
 Combines the paper's merging with the related-work counting execution:
 rules sharing a counted run (`[0-9]{1,3}\\.` …) share one counter with a
 belonging set, the same way plain sub-paths share arcs.  The bench
 builds a ranges-flavoured ruleset three ways — expanded + merged MFSA,
-per-rule counting engines, merged counting MFSA — and compares size and
-work, with matches asserted identical.
+per-rule counting automata (one-rule MFSAs), merged counting MFSA — and
+compares size and work, with matches asserted identical.  Both counting
+forms run on ``backend="counting"``.
 """
 
 from repro.counting import (
     CountingMergeReport,
-    CountingMfsaEngine,
-    CountingSetEngine,
     build_counting_fsa,
     merge_counting_fsas,
 )
@@ -54,10 +53,11 @@ def test_counting_mfsa_ablation(benchmark):
     separate = set()
     separate_work = 0
     for rule_id, cfsa in per_rule:
-        run = CountingSetEngine(cfsa, rule_id).run(STREAM)
+        one_rule = merge_counting_fsas([(rule_id, cfsa)])
+        run = IMfantEngine(one_rule, backend="counting").run(STREAM)
         separate |= run.matches
         separate_work += run.stats.transitions_examined
-    merged_run = CountingMfsaEngine(merged_counting).run(STREAM)
+    merged_run = IMfantEngine(merged_counting, backend="counting").run(STREAM)
 
     assert mfsa_run.matches == separate == merged_run.matches
 
@@ -68,7 +68,7 @@ def test_counting_mfsa_ablation(benchmark):
             ("expanded MFSA (paper pipeline)",
              expanded.mfsas[0].num_states, expanded.mfsas[0].num_transitions,
              mfsa_run.stats.transitions_examined),
-            ("per-rule counting engines",
+            ("per-rule counting automata",
              sum(c.num_states for _, c in per_rule),
              sum(c.num_transitions for _, c in per_rule),
              separate_work),

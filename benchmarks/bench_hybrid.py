@@ -1,15 +1,15 @@
-"""Hybrid engine — MFSA merging with counting-set outliers.
+"""Mixed rulesets — expand everything vs the counting compile.
 
 A realistic mixed ruleset (literal signatures + a few huge bounded
-repeats) is executed three ways: everything expanded and merged (the
-paper's pipeline), everything on per-rule counting engines, and the
-hybrid split.  The hybrid keeps the merged automaton small *and* dodges
-the expansion blow-up; matches are asserted identical across all three.
+repeats) is compiled two ways: everything expanded and merged (the
+paper's pipeline), and the counting compile at ``count_threshold=32``,
+where repeats reaching 32 copies become counter registers while every
+other rule expands and merges as usual — one automaton, no rule split.
+The counting compile keeps the merged automaton small *and* dodges the
+expansion blow-up; matches are asserted identical.
 """
 
-from repro.automata.optimize import compile_re_to_fsa
-from repro.counting import CountingSetEngine, build_counting_fsa
-from repro.engine.hybrid import HybridEngine
+from repro.counting import CountingMfsa
 from repro.engine.imfant import IMfantEngine
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 from repro.reporting.tables import format_table
@@ -17,9 +17,9 @@ from repro.reporting.tables import format_table
 RULES = [
     "GET /login",
     "POST /upload",
-    "session=[0-9a-f]{64}",          # counting outlier (64-run)
+    "session=[0-9a-f]{64}",          # counted (64-run)
     "auth failure for [a-z]+",
-    "padding[=:][A-Za-z0-9]{120}",   # counting outlier (120-run)
+    "padding[=:][A-Za-z0-9]{120}",   # counted (120-run)
     "set-cookie: tracker",
 ]
 
@@ -29,41 +29,36 @@ STREAM = (
 ) * 6
 
 
-def test_hybrid_split(benchmark):
-    hybrid = HybridEngine(RULES)
-    matches, report = benchmark.pedantic(
-        lambda: hybrid.run(STREAM), rounds=1, iterations=1
+def test_counting_compile_vs_expansion(benchmark):
+    counting = compile_ruleset(
+        RULES, CompileOptions(merging_factor=0, emit_anml=False,
+                              counting=True, count_threshold=32)
+    ).mfsas[0]
+    engine = IMfantEngine(counting, backend="counting")
+    counting_run = benchmark.pedantic(
+        lambda: engine.run(STREAM), rounds=1, iterations=1
     )
 
-    # baseline 1: everything expanded + merged
+    # baseline: everything expanded + merged
     expanded = compile_ruleset(RULES, CompileOptions(merging_factor=0, emit_anml=False))
     expanded_run = IMfantEngine(expanded.mfsas[0]).run(STREAM)
-    assert expanded_run.matches == matches
+    assert expanded_run.matches == counting_run.matches
 
-    # baseline 2: everything per-rule counting
-    counting_matches = set()
-    counting_states = 0
-    for rule_id, pattern in enumerate(RULES):
-        cfsa = build_counting_fsa(pattern)
-        counting_states += cfsa.num_states
-        counting_matches |= CountingSetEngine(cfsa, rule_id).run(STREAM).matches
-    assert counting_matches == matches
-
+    assert isinstance(counting, CountingMfsa)
     print()
     print(format_table(
-        ("configuration", "automata", "states", "work (trans. examined)"),
+        ("configuration", "states", "counter registers", "work (trans. examined)"),
         [
-            ("expanded + merged MFSA", 1, expanded.mfsas[0].num_states,
+            ("expanded + merged MFSA", expanded.mfsas[0].num_states, 0,
              expanded_run.stats.transitions_examined),
-            ("per-rule counting", len(RULES), counting_states, "-"),
-            (f"hybrid ({report.merged_rules} merged + {report.counting_rules} counting)",
-             report.mfsa_count + report.counting_rules, "-",
-             report.stats.transitions_examined),
+            ("counting compile (count_threshold=32)", counting.num_states,
+             len(counting.counting), counting_run.stats.transitions_examined),
         ],
-        title="Hybrid split on a mixed ruleset",
+        title="Expansion vs counting compile on a mixed ruleset",
     ))
 
-    assert report.counting_rules == 2
-    assert report.merged_rules == 4
+    # the two large repeats count; every other rule merged as usual
+    assert len(counting.counting) == 2
     # the expanded automaton pays ~190 states for the two counted runs
     assert expanded.mfsas[0].num_states > 150
+    assert counting.num_states < expanded.mfsas[0].num_states / 3

@@ -4,7 +4,7 @@ Measures per-builtin-ruleset scan throughput of three iMFAnt
 backends (``merging_factor=0``, i.e. one MFSA per ruleset) on a
 deterministic stream that mixes ruleset literal material with noise
 (the same generator ``repro obs`` demos with), plus the lazy backend's
-cache profile: hit rate, distinct configurations, evictions/flushes.
+cache profile: hit rate, distinct configurations, flushes.
 
 The lazy backend is measured **warm** (one priming pass before timing) —
 the steady state a long-lived DPI process operates in — and also cold,
@@ -92,7 +92,6 @@ def bench_ruleset(name: str, stream_size: int = STREAM_SIZE) -> dict:
             "cold_pass": cold_profile,
             "cumulative_hit_rate": warm.hit_rate,
             "distinct_configs": lazy_engine.lazy_cache.num_configs,
-            "evictions": warm.evictions,
             "flushes": warm.flushes,
             "entries": len(lazy_engine.lazy_cache.transitions),
             "capacity": lazy_engine.lazy_cache.max_entries,

@@ -9,11 +9,6 @@ Run:  python examples/ruleset_formats.py
 """
 
 from repro import CompileOptions, IMfantEngine, PrefilterEngine, compile_ruleset
-from repro.counting import (
-    CountingMfsaEngine,
-    build_counting_fsa,
-    merge_counting_fsas,
-)
 from repro.datasets import load_builtin
 from repro.dfa import (
     DfaEngine,
@@ -47,10 +42,10 @@ def main() -> None:
                  compiled.mfsas[0].num_transitions, run.stats.transitions_examined))
 
     # 2. counting MFSA (counted runs kept compressed and shared)
-    counting = merge_counting_fsas(
-        [(i, build_counting_fsa(p)) for i, p in enumerate(patterns)]
-    )
-    run = CountingMfsaEngine(counting).run(STREAM)
+    counting = compile_ruleset(
+        patterns, CompileOptions(merging_factor=0, emit_anml=False, counting=True)
+    ).mfsas[0]
+    run = IMfantEngine(counting, backend="counting").run(STREAM)
     assert run.matches == reference
     rows.append(("counting MFSA", counting.num_states,
                  counting.num_transitions, run.stats.transitions_examined))

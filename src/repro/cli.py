@@ -218,12 +218,12 @@ def _export_obs(args: argparse.Namespace, cap: "obs.ObsCapture | None") -> None:
 
 def _merge_lazy_stats(engines) -> dict[str, float]:
     """Sum the per-engine lazy-cache counters into one summary dict."""
-    totals = {"hits": 0.0, "misses": 0.0, "evictions": 0.0, "flushes": 0.0}
+    totals = {"hits": 0.0, "misses": 0.0, "flushes": 0.0}
     for engine in engines:
         cache = getattr(engine, "lazy_cache", None)
         if cache is None:
             continue
-        for key in ("hits", "misses", "evictions", "flushes"):
+        for key in ("hits", "misses", "flushes"):
             totals[key] += getattr(cache.stats, key)
     lookups = totals["hits"] + totals["misses"]
     totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
@@ -297,8 +297,6 @@ def match_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
                              "(default: %d)" % DEFAULT_CACHE_SIZE)
-    parser.add_argument("--lazy-eviction", choices=("flush", "lru"), default="flush",
-                        help="lazy-backend eviction policy when the cache fills")
     _add_dense_flags(parser)
     _add_counting_flags(parser)
     parser.add_argument("--single-match", action="store_true",
@@ -356,9 +354,7 @@ def match_main(argv: list[str] | None = None) -> int:
                 threads=args.threads,
                 single_match=args.single_match,
                 lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-                lazy_eviction=args.lazy_eviction,
-                dense_promote_after=(args.dense_promote_after
-                                     if args.backend == "dense" else None),
+                **_dense_kwargs(args),
             )
             run = matcher.run(data)
             matches, stats = run.matches, run.stats
@@ -368,7 +364,6 @@ def match_main(argv: list[str] | None = None) -> int:
             engines = [
                 IMfantEngine(mfsa, backend=args.backend, single_match=args.single_match,
                              lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-                             lazy_eviction=args.lazy_eviction,
                              scan_deadline=args.deadline, **_dense_kwargs(args))
                 for mfsa in mfsas
             ]
@@ -385,7 +380,7 @@ def match_main(argv: list[str] | None = None) -> int:
         totals = _merge_lazy_stats(engines)
         print(f"lazy cache: {totals['hits']:.0f} hits / {totals['misses']:.0f} misses "
               f"({totals['hit_rate']:.1%} hit rate), "
-              f"{totals['evictions']:.0f} eviction(s), {totals['flushes']:.0f} flush(es)")
+              f"{totals['flushes']:.0f} flush(es)")
     if args.backend == "dense" and not degradations:
         promoted = sum(1 for e in engines if getattr(e, "dense_tier", None) is not None)
         print(f"dense tier: {promoted}/{len(engines)} engine(s) promoted "
@@ -685,8 +680,6 @@ def obs_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
                              "(default: %d)" % DEFAULT_CACHE_SIZE)
-    parser.add_argument("--lazy-eviction", choices=("flush", "lru"), default="flush",
-                        help="lazy-backend eviction policy when the cache fills")
     _add_dense_flags(parser)
     _add_counting_flags(parser)
     parser.add_argument("--stride", type=int, default=None, metavar="N",
@@ -725,7 +718,6 @@ def obs_main(argv: list[str] | None = None) -> int:
         engines = [
             IMfantEngine(m, backend=args.backend,
                          lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-                         lazy_eviction=args.lazy_eviction,
                          scan_deadline=args.deadline, **_dense_kwargs(args))
             for m in result.mfsas
         ]
@@ -903,7 +895,6 @@ def _serve_run_main(argv: list[str]) -> int:
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
                              "(default: %d)" % DEFAULT_CACHE_SIZE)
-    parser.add_argument("--lazy-eviction", choices=("flush", "lru"), default="flush")
     parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                         help="default per-request wall-clock deadline "
                              "(requests may override via deadline_ms)")
@@ -968,7 +959,6 @@ def _serve_run_main(argv: list[str]) -> int:
             mode=args.mode,
             default_deadline=args.deadline,
             lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-            lazy_eviction=args.lazy_eviction,
             scan_strategy=args.scan_strategy,
             allow_shutdown=not args.no_shutdown_op,
             allow_reload=not args.no_reload_op,

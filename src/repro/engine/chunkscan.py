@@ -323,9 +323,8 @@ def overlap_chunk_scan(
 
     def make_runner(start: int, lead: int, segment: bytes):
         # each worker gets private mutable state (its own lazy cache);
-        # non-lazy backends are stateless across runs, but fork() is
-        # cheap either way (tables are shared, never rebuilt)
-        worker_engine = engine.fork() if backend in ("lazy", "dense") else engine
+        # fork() is cheap (tables are shared, never rebuilt)
+        worker_engine = engine.fork()
 
         def run():
             result = worker_engine.run(segment, collect_stats=False)

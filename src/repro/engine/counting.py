@@ -7,8 +7,7 @@ mutable counter state in a :class:`RegisterFile`.  Counts are never
 stored explicitly — an entry records the offset at which an activation
 mask entered the arc, and its count is ``position - entry_offset``, so
 every live entry "increments" for free as the scan advances (the
-counting-set trick of Turoňová et al., which
-:mod:`repro.counting.engine` implements for single patterns).
+counting-set trick of Turoňová et al.).
 
 The per-register state is split by maturity so each byte is O(1)
 amortised even when thousands of entries are live:

@@ -3,7 +3,7 @@
 The lazy backend (:mod:`repro.engine.lazy`) wins 5.6–85× over the
 interpretive engine but tops out around a few MB/s: a warm scan is
 still *one Python dict lookup per byte*.  On real traffic the cache is
-warm and **stable** (hit rate >99 %, no evictions — the profile
+warm and **stable** (hit rate >99 %, no flushes — the profile
 BENCH_lazy.json demonstrates), so the interned config graph can be
 *compiled* once and then driven without touching the interpreter per
 byte.  This module is that tier:
@@ -683,8 +683,6 @@ class DenseTier:
         n = len(payload)
         start = pos
         since_check = 0
-        lru = cache.eviction == "lru"
-        move_to_end = transitions.move_to_end if lru else None  # type: ignore[union-attr]
         while pos < n:
             byte = payload[pos]
             key = (cur << 8) | byte
@@ -696,8 +694,6 @@ class DenseTier:
                     out.consumed = pos
                     out.reason = "invalidated"
                     return cur, pos, True
-            elif lru:
-                move_to_end(key)
             pos += 1
             cur = entry[0]
             if collect_stats:

@@ -40,6 +40,7 @@ counters; tests enforce the agreement.
 
 from __future__ import annotations
 
+import copy
 import time
 
 import repro.obs as obs
@@ -64,7 +65,8 @@ from repro.guard.errors import (
 from repro.mfsa.activation import iter_bits
 from repro.mfsa.model import Mfsa
 
-_BACKENDS = ("python", "lazy", "dense", "counting")
+#: Every backend the engine runs (the guard ladder's rungs plus counting).
+BACKENDS = ("python", "lazy", "dense", "counting")
 
 #: Scan positions between deadline checks (one modulo per byte; the
 #: perf_counter read happens only every stride-th position).
@@ -82,22 +84,22 @@ class IMfantEngine:
 
     ``backend="lazy"`` memoizes frontier transitions in a bounded
     :class:`~repro.engine.lazy.LazyConfigCache` owned by the engine; the
-    cache stays warm across :meth:`run` calls.  ``lazy_cache_size`` and
-    ``lazy_eviction`` configure its budget and eviction policy (see
-    :mod:`repro.engine.lazy`); both are ignored by the other backends.
+    cache stays warm across :meth:`run` calls.  ``lazy_cache_size``
+    sets its budget in entries (a full cache flushes, see
+    :mod:`repro.engine.lazy`); the other backends ignore it.
 
     ``backend="dense"`` starts out as the lazy backend and
     auto-promotes: once ``dense_promote_after`` bytes have been scanned
     lazily (0 = after the first non-empty run) *and* the last run's
-    cache hit rate cleared :data:`~repro.engine.dense.DENSE_MIN_HIT_RATE`
-    with no evictions, the config graph is compiled into a
+    cache hit rate cleared :data:`~repro.engine.dense.DENSE_MIN_HIT_RATE`,
+    the config graph is compiled into a
     :class:`~repro.engine.dense.DenseTier` and subsequent runs scan in
     bulk (call :meth:`promote_dense` with ``force=True`` to skip the
     gates).  ``dense_budget`` charges table builds against modelled
     memory; a build that exceeds it (or fails allocation) quietly
-    disables promotion — the engine keeps serving exact results lazily,
-    which is also how the :data:`~repro.guard.degrade.BACKEND_LADDER`
-    treats the tier.
+    disables promotion (``dense_disabled`` turns true) — the engine
+    keeps serving exact results lazily, which is also how the
+    :data:`~repro.guard.degrade.BACKEND_LADDER` treats the tier.
 
     ``backend="counting"`` accepts a
     :class:`~repro.counting.mfsa.CountingMfsa` and runs its counting
@@ -122,15 +124,14 @@ class IMfantEngine:
         pop_on_final: bool = False,
         single_match: bool = False,
         lazy_cache_size: int = DEFAULT_CACHE_SIZE,
-        lazy_eviction: str = "flush",
         scan_deadline: float | None = None,
         deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
         dense_promote_after: int = DEFAULT_PROMOTE_AFTER,
         dense_budget: "Budget | None" = None,
         counting_budget: "Budget | None" = None,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise UsageError(f"unknown backend {backend!r}; choose from {_BACKENDS}")
+        if backend not in BACKENDS:
+            raise UsageError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         if scan_deadline is not None and scan_deadline <= 0:
             raise UsageError(f"scan_deadline must be positive (got {scan_deadline})")
         if deadline_stride < 1:
@@ -143,7 +144,6 @@ class IMfantEngine:
         self.pop_on_final = pop_on_final
         self.single_match = single_match
         self.lazy_cache_size = lazy_cache_size
-        self.lazy_eviction = lazy_eviction
         self.scan_deadline = scan_deadline
         self.deadline_stride = deadline_stride
         self.dense_promote_after = dense_promote_after
@@ -164,32 +164,40 @@ class IMfantEngine:
             self.counting_mfsa = None
             base = mfsa
         self.tables = MfsaTables.build(base)
-        self.lazy_cache: LazyConfigCache | None = None
-        self.dense_tier: DenseTier | None = None
         self._init_backend()
 
     def _init_backend(self) -> None:
-        self.dense_tier = None
+        """Allocate the backend's private mutable state and bind
+        ``_scan`` — the one place the backend name picks behaviour."""
+        self.lazy_cache: LazyConfigCache | None = None
+        self.dense_tier: DenseTier | None = None
+        #: True once a failed dense build stopped auto-promotion
+        self.dense_disabled = False
         self._dense_lazy_bytes = 0
-        self._dense_disabled = False
         self._deopt_since_build = 0
         self._last_lazy_hit_rate = 0.0
         self._register_specs: tuple[RegisterSpec, ...] = ()
+        backend = self.backend
         try:
-            faultinject.fire("alloc", backend=self.backend)
-            if self.backend in ("lazy", "dense"):
+            faultinject.fire("alloc", backend=backend)
+            if backend in ("lazy", "dense"):
                 self.lazy_cache = LazyConfigCache(
                     self.tables,
                     pop_on_final=self.pop_on_final,
                     max_entries=self.lazy_cache_size,
-                    eviction=self.lazy_eviction,
                 )
-            elif self.backend == "counting":
+            elif backend == "counting":
                 self._register_specs = self._alloc_registers()
         except MemoryError as exc:
             raise AllocationFailed(
-                f"backend {self.backend!r} allocation failed: {exc}"
+                f"backend {backend!r} allocation failed: {exc}"
             ) from exc
+        if backend == "lazy":
+            self._scan = self._run_lazy
+        elif backend == "dense":
+            self._scan = self._run_dense
+        else:  # python, counting
+            self._scan = self._run_python
 
     def _alloc_registers(self) -> tuple[RegisterSpec, ...]:
         """Compile the counting arcs into register specs, charging each
@@ -223,21 +231,7 @@ class IMfantEngine:
         that is a fresh, cold cache (and no compiled tier yet).  The
         cheap way to give each worker thread its own engine without
         rebuilding the transition tables."""
-        clone = IMfantEngine.__new__(IMfantEngine)
-        clone.backend = self.backend
-        clone.pop_on_final = self.pop_on_final
-        clone.single_match = self.single_match
-        clone.lazy_cache_size = self.lazy_cache_size
-        clone.lazy_eviction = self.lazy_eviction
-        clone.scan_deadline = self.scan_deadline
-        clone.deadline_stride = self.deadline_stride
-        clone.dense_promote_after = self.dense_promote_after
-        clone.dense_budget = self.dense_budget
-        clone.counting_budget = self.counting_budget
-        clone.counting_mfsa = self.counting_mfsa
-        clone.tables = self.tables
-        clone.lazy_cache = None
-        clone.dense_tier = None
+        clone = copy.copy(self)
         clone._init_backend()
         return clone
 
@@ -280,12 +274,7 @@ class IMfantEngine:
             rules=self.tables.num_rules,
             bytes=len(payload),
         ) as sp:
-            if self.backend == "lazy":
-                result = self._run_lazy(payload, collect_stats)
-            elif self.backend == "dense":
-                result = self._run_dense(payload, collect_stats)
-            else:  # python, counting
-                result = self._run_python(payload, collect_stats)
+            result = self._scan(payload, collect_stats)
             if self.single_match:
                 firsts: dict[int, int] = {}
                 for rule, end in result.matches:
@@ -444,8 +433,6 @@ class IMfantEngine:
         step = cache.step
         config_stats = cache.config_stats
         examined_by_byte = cache.examined_by_byte
-        lru = cache.eviction == "lru"
-        move_to_end = transitions.move_to_end if lru else None  # type: ignore[union-attr]
         single_match = self.single_match
 
         result = RunResult()
@@ -462,7 +449,6 @@ class IMfantEngine:
             matched_rules |= 1 << rule_to_slot[rule]
         consumed = 0
         hits = misses = 0
-        evictions_before = cache.stats.evictions
         flushes_before = cache.stats.flushes
         sampler = obs.engine_sampler("imfant")
         stride = sampler.stride if sampler is not None else 0
@@ -481,8 +467,6 @@ class IMfantEngine:
                 misses += 1
             else:
                 hits += 1
-                if lru:
-                    move_to_end(key)
             cur = entry[0]
             if collect_stats:
                 # the python backend counts taken transitions *during*
@@ -519,10 +503,6 @@ class IMfantEngine:
                 "imfant_lazy_cache_misses_total",
                 help="lazy-backend transition-cache misses (interpretive steps)",
             ).inc(misses)
-            registry.counter(
-                "imfant_lazy_cache_evictions_total",
-                help="lazy-backend LRU entry evictions",
-            ).inc(cache.stats.evictions - evictions_before)
             registry.counter(
                 "imfant_lazy_cache_flushes_total",
                 help="lazy-backend whole-cache flushes",
@@ -569,7 +549,7 @@ class IMfantEngine:
             dm = cache.stats.misses - misses0
             self._last_lazy_hit_rate = dh / (dh + dm) if (dh + dm) else 1.0
             self._dense_lazy_bytes += len(payload)
-            if not self._dense_disabled and self._dense_lazy_bytes > max(
+            if not self.dense_disabled and self._dense_lazy_bytes > max(
                 0, self.dense_promote_after
             ):
                 self.promote_dense()
@@ -579,10 +559,9 @@ class IMfantEngine:
     def promote_dense(self, force: bool = False) -> bool:
         """Compile the lazy cache into a dense tier now.
 
-        Without ``force`` the warm-and-stable gates apply (last run's
-        hit rate ≥ :data:`~repro.engine.dense.DENSE_MIN_HIT_RATE`, no
-        evictions) and failures — including a
-        :class:`~repro.guard.errors.MemoryBudgetExceeded` /
+        Without ``force`` the warm gate applies (last run's hit rate ≥
+        :data:`~repro.engine.dense.DENSE_MIN_HIT_RATE`) and failures —
+        including a :class:`~repro.guard.errors.MemoryBudgetExceeded` /
         :class:`~repro.guard.errors.AllocationFailed` build under
         ``dense_budget`` — disable auto-promotion and return ``False``
         (the engine keeps running lazily: the dense rung of the guard
@@ -595,11 +574,9 @@ class IMfantEngine:
         cache = self.lazy_cache
         assert cache is not None
         if not force:
-            if self._dense_disabled:
+            if self.dense_disabled:
                 return False
             if self._last_lazy_hit_rate < DENSE_MIN_HIT_RATE:
-                return False
-            if cache.stats.evictions:
                 return False
         meter = (
             BudgetMeter(self.dense_budget) if self.dense_budget is not None else None
@@ -609,7 +586,7 @@ class IMfantEngine:
         except (AllocationFailed, MemoryBudgetExceeded):
             if force:
                 raise
-            self._dense_disabled = True
+            self.dense_disabled = True
             self._dense_counter(
                 obs.get_registry(),
                 "imfant_dense_promotion_failures_total",

@@ -16,15 +16,11 @@ the symbol's enabled transitions.
 
 The cache is **bounded** (``max_entries``) so adversarial inputs that
 keep minting fresh configurations degrade gracefully to interpretive
-speed instead of exploding memory.  Two eviction policies:
-
-* ``"flush"`` (default, RE2-style) — when the transition cache is full,
-  drop *everything* and re-intern only the live frontier.  O(1) per hot
-  step (plain dict), worst-case recompute after a flush.
-* ``"lru"`` — evict the least-recently-used transition.  Keeps hot
-  entries across cache pressure at the cost of an ``OrderedDict``
-  bookkeeping touch per hit; the configuration table is additionally
-  bounded by a full flush when it outgrows ``2 * max_entries``.
+speed instead of exploding memory.  Eviction is RE2-style: when the
+transition cache is full, drop *everything* and re-intern only the live
+frontier — O(1) per hot step (plain dict), worst-case recompute after a
+flush.  The configuration table is additionally bounded by a full flush
+when it outgrows ``2 * max_entries``.
 
 Every cached entry also stores the step's work counters and every
 interned configuration its activation statistics, so a lazy run
@@ -32,7 +28,7 @@ reproduces the python backend's :class:`~repro.engine.counters.
 ExecutionStats` and strided engine-sampler observations *exactly* —
 the cross-backend invariant the engine tests enforce.
 
-Cache activity is surfaced, never fatal: per-run hit/miss/eviction/flush
+Cache activity is surfaced, never fatal: per-run hit/miss/flush
 deltas land on the :mod:`repro.obs` metrics registry (when one is
 active) as ``imfant_lazy_cache_*_total`` counters plus an
 ``imfant_lazy_distinct_configs`` gauge, and cumulative totals are
@@ -41,18 +37,15 @@ readable on :attr:`LazyConfigCache.stats`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.engine.tables import MfsaTables
 from repro.guard import faultinject
 
-__all__ = ["DEFAULT_CACHE_SIZE", "EVICTION_POLICIES", "LazyCacheStats", "LazyConfigCache"]
+__all__ = ["DEFAULT_CACHE_SIZE", "LazyCacheStats", "LazyConfigCache"]
 
 #: Default transition-cache budget (entries, i.e. (config, byte) pairs).
 DEFAULT_CACHE_SIZE = 1 << 16
-
-EVICTION_POLICIES = ("flush", "lru")
 
 #: One frozen frontier: sorted ``(state, activation-mask)`` pairs with
 #: zero masks dropped (canonical — two equal frontiers intern equal).
@@ -65,7 +58,6 @@ class LazyCacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     flushes: int = 0
 
     @property
@@ -82,7 +74,6 @@ class LazyCacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "flushes": self.flushes,
             "hit_rate": self.hit_rate,
         }
@@ -105,27 +96,20 @@ class LazyConfigCache:
         tables: MfsaTables,
         pop_on_final: bool = False,
         max_entries: int = DEFAULT_CACHE_SIZE,
-        eviction: str = "flush",
     ) -> None:
         if max_entries < 1:
             raise ValueError("lazy cache needs max_entries >= 1")
-        if eviction not in EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {eviction!r}; choose from {EVICTION_POLICIES}"
-            )
         pressure = faultinject.value("lazy.cache_pressure")
         if pressure is not None:
-            # Injected cache pressure: clamp the budget so eviction/thrash
+            # Injected cache pressure: clamp the budget so flush/thrash
             # paths exercise without multi-megabyte adversarial inputs.
             max_entries = 1 if pressure is True else max(1, min(max_entries, int(pressure)))
         self.tables = tables
         self.pop_on_final = pop_on_final
         self.max_entries = max_entries
-        self.eviction = eviction
         self.stats = LazyCacheStats()
-        #: (config_id << 8 | byte) -> entry.  Plain dict under "flush"
-        #: (fastest lookups); OrderedDict under "lru" (recency order).
-        self.transitions: dict[int, tuple] = OrderedDict() if eviction == "lru" else {}
+        #: (config_id << 8 | byte) -> entry
+        self.transitions: dict[int, tuple] = {}
         #: config id -> frozen (state, mask) pairs
         self._configs: list[_Config] = []
         #: config id -> (active_pair_total, peak_state_activation, width)
@@ -236,19 +220,15 @@ class LazyConfigCache:
     def step(self, config_id: int, byte: int) -> tuple:
         """Compute, memoize, and return the transition for a cache miss.
 
-        May flush (``"flush"`` policy, or a ``"lru"`` config-table
-        overflow) — the caller's ``config_id`` becomes stale either way,
-        but the returned entry's ``next_config_id`` is always valid.
+        May flush (a full transition cache, or a config-table overflow)
+        — the caller's ``config_id`` becomes stale, but the returned
+        entry's ``next_config_id`` is always valid.
         """
-        if len(self.transitions) >= self.max_entries:
-            if self.eviction == "flush":
-                config_id = self._flush(config_id)
-            else:
-                self.transitions.popitem(last=False)  # type: ignore[call-arg]
-                self.stats.evictions += 1
-        if len(self._configs) > 2 * self.max_entries:
-            # LRU keeps the transition cache bounded but evicted entries
-            # can strand interned configs; a rare full flush bounds those.
+        if len(self.transitions) >= self.max_entries or (
+            # configs interned through config_id_of (mapping scans) add
+            # no transitions; a rare full flush bounds those too
+            len(self._configs) > 2 * self.max_entries
+        ):
             config_id = self._flush(config_id)
 
         frozen, emit_slots, emit_mask, taken = self._transition(config_id, byte)

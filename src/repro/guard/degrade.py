@@ -47,7 +47,8 @@ from typing import Optional, Sequence
 
 import repro.obs as obs
 from repro.engine.counters import ExecutionStats
-from repro.engine.imfant import IMfantEngine
+from repro.engine.dense import DEFAULT_PROMOTE_AFTER
+from repro.engine.imfant import BACKENDS, IMfantEngine
 from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.engine.multithread import run_pool
 from repro.guard.errors import AllocationFailed, UsageError
@@ -155,16 +156,12 @@ class GuardedMatcher:
         threads: int = 1,
         single_match: bool = False,
         lazy_cache_size: int = DEFAULT_CACHE_SIZE,
-        lazy_eviction: str = "flush",
-        dense_promote_after: Optional[int] = None,
+        dense_promote_after: int = DEFAULT_PROMOTE_AFTER,
         dense_budget=None,
         counting_budget=None,
     ) -> None:
-        if backend not in BACKEND_LADDER and backend != "counting":
-            raise UsageError(
-                f"unknown backend {backend!r}; choose from "
-                f"{BACKEND_LADDER + ('counting',)}"
-            )
+        if backend not in BACKENDS:
+            raise UsageError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         self.mfsas = list(mfsas)
         self.rule_map = list(rule_map) if rule_map is not None else None
         self.quarantine = quarantine or QuarantineReport()
@@ -174,7 +171,6 @@ class GuardedMatcher:
         self.threads = threads
         self.single_match = single_match
         self.lazy_cache_size = lazy_cache_size
-        self.lazy_eviction = lazy_eviction
         self.dense_promote_after = dense_promote_after
         self.dense_budget = dense_budget
         self.counting_budget = counting_budget
@@ -222,13 +218,6 @@ class GuardedMatcher:
         while True:
             if self._engines is not None:
                 return self._engines
-            dense_kwargs = {}
-            if self.dense_promote_after is not None:
-                dense_kwargs["dense_promote_after"] = self.dense_promote_after
-            if self.dense_budget is not None:
-                dense_kwargs["dense_budget"] = self.dense_budget
-            if self.counting_budget is not None:
-                dense_kwargs["counting_budget"] = self.counting_budget
             try:
                 self._engines = [
                     IMfantEngine(
@@ -237,8 +226,9 @@ class GuardedMatcher:
                         single_match=self.single_match,
                         scan_deadline=self.scan_deadline,
                         lazy_cache_size=self.lazy_cache_size,
-                        lazy_eviction=self.lazy_eviction,
-                        **dense_kwargs,
+                        dense_promote_after=self.dense_promote_after,
+                        dense_budget=self.dense_budget,
+                        counting_budget=self.counting_budget,
                     )
                     for mfsa in self.mfsas
                 ]
@@ -296,7 +286,7 @@ class GuardedMatcher:
         (allocation failure or modelled-memory budget): the failed run
         already answered lazily and exactly; the ladder step just stops
         re-attempting table builds on every subsequent payload."""
-        if any(getattr(e, "_dense_disabled", False) for e in engines):
+        if any(e.dense_disabled for e in engines):
             self._degrade("dense-promotion-failed: table build rejected")
 
     @staticmethod

@@ -95,7 +95,6 @@ class ServeConfig:
     #: a request's ``deadline_ms`` overrides it
     default_deadline: Optional[float] = None
     lazy_cache_size: int = DEFAULT_CACHE_SIZE
-    lazy_eviction: str = "flush"
     #: scan positions between deadline checks inside the engines
     deadline_stride: int = DEFAULT_DEADLINE_STRIDE
     #: parallelism contract for the shard pool: "auto" keeps overlap
@@ -246,7 +245,6 @@ class MatchService:
             backend=self.config.backend,
             mode=self.config.mode,
             lazy_cache_size=self.config.lazy_cache_size,
-            lazy_eviction=self.config.lazy_eviction,
             deadline_stride=self.config.deadline_stride,
             scan_strategy=self.config.scan_strategy,
             supervisor=self.supervisor,

@@ -85,13 +85,12 @@ from typing import Optional, Sequence
 
 import repro.obs as obs
 from repro.engine.counters import ExecutionStats
-from repro.engine.imfant import DEFAULT_DEADLINE_STRIDE, IMfantEngine
+from repro.engine.imfant import BACKENDS, DEFAULT_DEADLINE_STRIDE, IMfantEngine
 from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.engine.chunkscan import SCAN_STRATEGIES, ruleset_max_width
 from repro.engine.sfa import ChunkMapping, SfaScanner
 from repro.guard import faultinject
 from repro.guard.degrade import (
-    BACKEND_LADDER,
     DegradationStep,
     alloc_degrade_reason,
     next_backend,
@@ -213,8 +212,7 @@ _PROCESS_STATE: dict = {}
 
 
 def _process_init(artifact_path: str, backend: str, lazy_cache_size: int,
-                  lazy_eviction: str, deadline_stride: int,
-                  strategy: str = "overlap") -> None:
+                  deadline_stride: int, strategy: str = "overlap") -> None:
     """Worker-process initializer: *load* the artifact, never recompile."""
     import json
 
@@ -228,7 +226,7 @@ def _process_init(artifact_path: str, backend: str, lazy_cache_size: int,
         _PROCESS_STATE["scanners"] = _build_scanners(mfsas, deadline_stride)
     else:
         _PROCESS_STATE["engines"] = _build_engines(
-            mfsas, backend, lazy_cache_size, lazy_eviction, deadline_stride
+            mfsas, backend, lazy_cache_size, deadline_stride
         )
 
 
@@ -358,7 +356,6 @@ def _build_engines(
     mfsas: Sequence[Mfsa],
     backend: str,
     lazy_cache_size: int,
-    lazy_eviction: str,
     deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
 ) -> list[IMfantEngine]:
     return [
@@ -366,7 +363,6 @@ def _build_engines(
             mfsa,
             backend=backend,
             lazy_cache_size=lazy_cache_size,
-            lazy_eviction=lazy_eviction,
             deadline_stride=deadline_stride,
         )
         for mfsa in mfsas
@@ -420,7 +416,6 @@ class ShardPool:
         backend: str = "lazy",
         mode: str = "thread",
         lazy_cache_size: int = DEFAULT_CACHE_SIZE,
-        lazy_eviction: str = "flush",
         deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
         overlap: Optional[int] = "auto",  # type: ignore[assignment]
         scan_strategy: str = "auto",
@@ -430,11 +425,8 @@ class ShardPool:
             raise UsageError(f"num_shards must be >= 1 (got {num_shards})")
         if mode not in ("thread", "process"):
             raise UsageError(f"unknown shard mode {mode!r}; choose thread or process")
-        if backend not in BACKEND_LADDER and backend != "counting":
-            raise UsageError(
-                f"unknown backend {backend!r}; choose from "
-                f"{BACKEND_LADDER + ('counting',)}"
-            )
+        if backend not in BACKENDS:
+            raise UsageError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         if mode == "process" and artifact.path is None:
             raise UsageError("process-mode shards need an on-disk artifact to load")
         if scan_strategy not in SCAN_STRATEGIES:
@@ -454,7 +446,6 @@ class ShardPool:
         self.backend = backend
         self.mode = mode
         self.lazy_cache_size = lazy_cache_size
-        self.lazy_eviction = lazy_eviction
         self.deadline_stride = deadline_stride
         #: max match width over the ruleset; None = unbounded
         self.overlap: Optional[int] = (
@@ -512,7 +503,6 @@ class ShardPool:
                         str(self.artifact.path),
                         self.backend,
                         self.lazy_cache_size,
-                        self.lazy_eviction,
                         self.deadline_stride,
                         self.scan_strategy,
                     ),
@@ -565,8 +555,7 @@ class ShardPool:
                 try:
                     self._templates = _build_engines(
                         self.artifact.mfsas, self.backend,
-                        self.lazy_cache_size, self.lazy_eviction,
-                        self.deadline_stride,
+                        self.lazy_cache_size, self.deadline_stride,
                     )
                     return self._templates
                 except AllocationFailed as exc:

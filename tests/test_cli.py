@@ -81,7 +81,8 @@ class TestMatchMain:
         base = [str(stream_file), "--ruleset", str(ruleset_file)]
         for extra in (["--backend", "numpy"],
                       ["--backend", "dense", "--dense-stride", "2"],
-                      ["--backend", "dense", "--no-prefilter"]):
+                      ["--backend", "dense", "--no-prefilter"],
+                      ["--backend", "lazy", "--lazy-eviction", "lru"]):
             with pytest.raises(SystemExit) as info:
                 match_main(base + extra)
             assert info.value.code == 2, extra

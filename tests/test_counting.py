@@ -1,4 +1,5 @@
-"""Tests for counting automata (construction + counting-set engine)."""
+"""Tests for counting automata: construction, and single-rule execution
+on ``backend="counting"`` (a single counting FSA is a one-rule MFSA)."""
 
 import re
 
@@ -8,14 +9,21 @@ from hypothesis import strategies as st
 
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
-from repro.counting import CountingSetEngine, build_counting_fsa
+from repro.counting import build_counting_fsa, merge_counting_fsas
 from repro.counting.model import CountingTransition
+from repro.engine.imfant import IMfantEngine
 from repro.labels import CharClass
+
+pytestmark = pytest.mark.counting
+
+
+def engine_for(cfsa, rule_id: int = 0) -> IMfantEngine:
+    return IMfantEngine(merge_counting_fsas([(rule_id, cfsa)]), backend="counting")
 
 
 def matches(pattern: str, text: str, min_count_bound: int = 1) -> set:
     cfsa = build_counting_fsa(pattern, min_count_bound=min_count_bound)
-    return CountingSetEngine(cfsa).run(text).matches
+    return engine_for(cfsa).run(text).matches
 
 
 def expected(pattern: str, text: str) -> set:
@@ -61,7 +69,7 @@ class TestConstruction:
         cfsa = build_counting_fsa("a{0,100}b", min_count_bound=1)
         assert cfsa.counting
         # the ε bypass survives as a plain path: "b" alone matches
-        assert CountingSetEngine(cfsa).run("b").matches == {(0, 1)}
+        assert engine_for(cfsa).run("b").matches == {(0, 1)}
 
     def test_epsilon_free(self):
         cfsa = build_counting_fsa("(a|b{10,20})c")
@@ -102,16 +110,16 @@ class TestEngine:
         assert got == {(0, e) for e in (3, 4, 5, 6)}
 
     def test_counts_do_not_leak_across_runs(self):
-        engine = CountingSetEngine(build_counting_fsa("a{3}b"))
+        engine = engine_for(build_counting_fsa("a{3}b"))
         assert engine.run("aaab").matches == {(0, 4)}
         assert engine.run("ab").matches == set()  # fresh state per run
 
     def test_rule_id_tagging(self):
         cfsa = build_counting_fsa("a{2}")
-        assert CountingSetEngine(cfsa, rule_id=9).run("aa").matches == {(9, 2)}
+        assert engine_for(cfsa, rule_id=9).run("aa").matches == {(9, 2)}
 
     def test_stats(self):
-        stats = CountingSetEngine(build_counting_fsa("a{5}b")).run("a" * 10).stats
+        stats = engine_for(build_counting_fsa("a{5}b")).run("a" * 10).stats
         assert stats.chars_processed == 10
         assert stats.transitions_examined > 0
         assert stats.active_pair_total > 0

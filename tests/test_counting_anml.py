@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 from repro.anml.reader import AnmlFormatError
 from repro.counting import build_counting_fsa, merge_counting_fsas
 from repro.counting.anml import read_counting_anml, write_counting_anml
-from repro.counting.mfsa_engine import CountingMfsaEngine
+from repro.engine.imfant import IMfantEngine
 
 from conftest import ere_patterns, input_strings
+
+pytestmark = pytest.mark.counting
+
+
+def run_matches(z, text):
+    return IMfantEngine(z, backend="counting").run(text).matches
 
 
 def build(patterns, min_count_bound=1):
@@ -51,8 +57,7 @@ class TestRoundTrip:
         z = build(patterns)
         recovered = read_counting_anml(write_counting_anml(z))
         stream = "kabax kbbby"
-        assert CountingMfsaEngine(recovered).run(stream).matches == \
-            CountingMfsaEngine(z).run(stream).matches
+        assert run_matches(recovered, stream) == run_matches(z, stream)
 
     def test_network_id(self):
         assert 'id="demo"' in write_counting_anml(build(["a{5}"]), network_id="demo")
@@ -86,5 +91,4 @@ def test_roundtrip_property(patterns, text):
     z = build(patterns, min_count_bound=2)
     recovered = read_counting_anml(write_counting_anml(z))
     assert cmfsa_equal(z, recovered)
-    assert CountingMfsaEngine(recovered).run(text).matches == \
-        CountingMfsaEngine(z).run(text).matches
+    assert run_matches(recovered, text) == run_matches(z, text)

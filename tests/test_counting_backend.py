@@ -104,7 +104,7 @@ def test_counting_equals_expanded_oracle(patterns, text):
 @given(patterns=rulesets(), text=texts(max_size=80))
 @settings(max_examples=25, deadline=None)
 def test_every_backend_agrees_on_counting_compile(patterns, text):
-    """All five backends agree over the same counting compile: the
+    """All four backends agree over the same counting compile: the
     counting backend runs the registers, the rest the expand() bridge."""
     counting = _compile_counting(patterns)
     reference = _matches(counting, text, "python")

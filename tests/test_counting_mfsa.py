@@ -1,4 +1,5 @@
-"""Tests for counting-MFSA merging and its engine."""
+"""Tests for counting-MFSA merging and its execution on
+``backend="counting"``, against the loop-expanded per-rule oracle."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,14 @@ from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
 from repro.counting import (
     CountingMergeReport,
-    CountingMfsaEngine,
-    CountingSetEngine,
     build_counting_fsa,
     merge_counting_fsas,
 )
+from repro.engine.imfant import IMfantEngine
 
 from conftest import ere_patterns, input_strings
+
+pytestmark = pytest.mark.counting
 
 
 def build_merged(patterns, min_count_bound=1):
@@ -23,11 +25,15 @@ def build_merged(patterns, min_count_bound=1):
     return merge_counting_fsas(items)
 
 
-def per_rule_matches(patterns, text, min_count_bound=1):
+def run_counting(z, text):
+    return IMfantEngine(z, backend="counting").run(text)
+
+
+def per_rule_matches(patterns, text):
+    """The loop-expanded oracle, rule by rule."""
     out = set()
     for rule_id, pattern in enumerate(patterns):
-        cfsa = build_counting_fsa(pattern, min_count_bound=min_count_bound)
-        out |= CountingSetEngine(cfsa, rule_id).run(text).matches
+        out |= {(rule_id, e) for e in find_match_ends(compile_re_to_fsa(pattern), text)}
     return out
 
 
@@ -78,21 +84,21 @@ class TestEngine:
     ])
     def test_merged_equals_per_rule(self, patterns, text):
         z = build_merged(patterns)
-        got = CountingMfsaEngine(z).run(text).matches
+        got = run_counting(z, text).matches
         assert got == per_rule_matches(patterns, text)
 
     def test_shared_counter_distinguishes_rules(self):
         """Both rules share the counter but only the right suffix fires."""
         patterns = ["x[ab]{3}y", "x[ab]{3}z"]
         z = build_merged(patterns)
-        got = CountingMfsaEngine(z).run("xabay").matches
+        got = run_counting(z, "xabay").matches
         assert got == {(0, 5)}
 
     def test_overlapping_entries_with_masks(self):
         patterns = ["ba{2,3}c", "a{2,3}c"]
         z = build_merged(patterns)
         for text in ("baac", "baaac", "aac", "aaac", "baacaaac"):
-            assert CountingMfsaEngine(z).run(text).matches == \
+            assert run_counting(z, text).matches == \
                 per_rule_matches(patterns, text), text
 
     def test_expansion_reference(self):
@@ -100,11 +106,7 @@ class TestEngine:
         patterns = ["x[ab]{2,3}y", "x[ab]{2,3}z"]
         z = build_merged(patterns)
         text = "xaby xaaby xbbbz xz"
-        expected = set()
-        for rule_id, pattern in enumerate(patterns):
-            expected |= {(rule_id, e)
-                         for e in find_match_ends(compile_re_to_fsa(pattern), text)}
-        assert CountingMfsaEngine(z).run(text).matches == expected
+        assert run_counting(z, text).matches == per_rule_matches(patterns, text)
 
     def test_large_shared_bound(self):
         patterns = ["h[ab]{200}x", "h[ab]{200}y"]
@@ -112,11 +114,11 @@ class TestEngine:
         assert len(z.counting) == 1
         assert z.num_states < 12
         text = "h" + "ab" * 100 + "x"
-        assert CountingMfsaEngine(z).run(text).matches == {(0, 202)}
+        assert run_counting(z, text).matches == {(0, 202)}
 
     def test_stats(self):
         z = build_merged(["a{3}b", "c"])
-        stats = CountingMfsaEngine(z).run("aaab c").stats
+        stats = run_counting(z, "aaab c").stats
         assert stats.chars_processed == 6
         assert stats.match_count == 2
 
@@ -127,8 +129,8 @@ def test_counting_mfsa_equivalence_property(data):
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=3))
     text = data.draw(input_strings())
     z = build_merged(patterns, min_count_bound=2)
-    got = CountingMfsaEngine(z).run(text).matches
-    assert got == per_rule_matches(patterns, text, min_count_bound=2)
+    got = run_counting(z, text).matches
+    assert got == per_rule_matches(patterns, text)
 
 
 @given(
@@ -141,5 +143,5 @@ def test_shared_counter_property(low, extra, text):
     patterns = [f"z[ab]{{{low},{low + extra}}}a", f"z[ab]{{{low},{low + extra}}}b"]
     z = build_merged(patterns)
     assert len(z.counting) == 1  # the counter is shared
-    got = CountingMfsaEngine(z).run(text).matches
+    got = run_counting(z, text).matches
     assert got == per_rule_matches(patterns, text)

@@ -186,9 +186,7 @@ class TestDeoptParity:
         invalidate and the scan re-answer lazily — same matches."""
         mfsa = _compile_one(DEOPT_PATTERNS)
         payload = _demo_stream(list(DEOPT_PATTERNS), 4096, seed=17)
-        engine = IMfantEngine(
-            mfsa, backend="dense", lazy_cache_size=16, lazy_eviction="flush"
-        )
+        engine = IMfantEngine(mfsa, backend="dense", lazy_cache_size=16)
         engine.run(payload[:64], collect_stats=False)
         engine.promote_dense(force=True)
         flushes_before = engine.lazy_cache.stats.flushes
@@ -223,7 +221,7 @@ class TestDenseGuard:
         engine.run(payload, collect_stats=False)
         engine._last_lazy_hit_rate = 1.0  # pass the warmth gate
         assert not engine.promote_dense()
-        assert engine._dense_disabled
+        assert engine.dense_disabled
         assert engine.run(payload).matches == _python_matches(
             _compile_one(["ab"]), payload
         )

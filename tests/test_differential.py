@@ -12,7 +12,8 @@ same ``(rule, end)`` set:
 7. the decomposition prefilter engine;
 8. the DFA pipeline (subset construction → minimise → D2FA), when it
    fits the state budget;
-9. the counting-set engine, rule by rule.
+9. the counting compile (every repeat as a counter register) on the
+   counting backend.
 
 One failing engine pinpoints itself via the labelled assertion.
 """
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 from repro.anml import read_anml, write_anml
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
-from repro.counting import CountingSetEngine, build_counting_fsa
 from repro.decompose.engine import PrefilterEngine
 from repro.dfa import (
     D2faEngine,
@@ -38,6 +38,7 @@ from repro.engine.infant import INfantEngine
 from repro.engine.streaming import StreamingMatcher
 from repro.mfsa.activation import reference_match
 from repro.mfsa.merge import merge_fsas, merge_ruleset
+from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 from conftest import ere_patterns, input_strings
 
@@ -115,9 +116,12 @@ def test_all_engines_agree(data):
         d2fa = compress_default_transitions(small)
         assert D2faEngine(d2fa).run(text).matches == oracle, "D2FA"
 
-    # 9. counting-set engine per rule (counting enabled for any bound)
+    # 9. counting compile (counting enabled for any bound) on the
+    #    counting backend
+    counting = compile_ruleset(
+        patterns, CompileOptions(counting=True, count_threshold=2, emit_anml=False)
+    )
     got = set()
-    for rule_id, pattern in enumerate(patterns):
-        cfsa = build_counting_fsa(pattern, min_count_bound=2)
-        got |= CountingSetEngine(cfsa, rule_id).run(text).matches
-    assert got == oracle, "counting-set"
+    for mfsa in counting.mfsas:
+        got |= IMfantEngine(mfsa, backend="counting").run(text).matches
+    assert got == oracle, "counting"

@@ -2,10 +2,10 @@
 
 The lazy backend must be *observationally identical* to the python
 backend — match sets, work counters, single-match early exit — while
-only its cache behaviour (hits/misses/evictions/flushes) differs with
-the cache budget.  Property tests drive random rulesets and payloads
-through both, including ε-accepting rules, ``pop_on_final``, and caches
-small enough to evict mid-stream.
+only its cache behaviour (hits/misses/flushes) differs with the cache
+budget.  Property tests drive random rulesets and payloads through both,
+including ε-accepting rules, ``pop_on_final``, and caches small enough
+to flush mid-stream.
 """
 
 import pytest
@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.engine.chunkscan import chunk_scan, ruleset_max_width
-from repro.engine.hybrid import HybridEngine
 from repro.engine.imfant import IMfantEngine
 from repro.engine.lazy import LazyConfigCache
 from repro.engine.tables import MfsaTables
 from repro.mfsa.activation import ActivationConfig, reference_match
 from repro.mfsa.merge import merge_fsas
+from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 from conftest import compile_ruleset_fsas, ere_patterns, input_strings
 
@@ -86,8 +86,6 @@ class TestLazyBackend:
         mfsa = build(["a"])
         with pytest.raises(ValueError):
             IMfantEngine(mfsa, backend="lazy", lazy_cache_size=0)
-        with pytest.raises(ValueError):
-            IMfantEngine(mfsa, backend="lazy", lazy_eviction="random")
 
 
 class TestCacheBehaviour:
@@ -122,18 +120,6 @@ class TestCacheBehaviour:
         assert cache.stats.flushes > 0
         assert len(cache.transitions) <= 4
         assert cache.num_configs <= 4 + 2
-
-    def test_lru_eviction_bounds_cache(self):
-        mfsa = build(["abc", "a[bc]d", "[a-d]+x"])
-        engine = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=4,
-                              lazy_eviction="lru")
-        text = "abcdxadbcax" * 40
-        result = engine.run(text)
-        cache = engine.lazy_cache
-        assert result.matches == IMfantEngine(mfsa).run(text).matches
-        assert cache.stats.evictions > 0
-        assert len(cache.transitions) <= 4
-        assert cache.num_configs <= 2 * 4 + 2
 
     def test_fork_gives_private_cold_cache(self):
         mfsa = build(["ab"])
@@ -198,11 +184,15 @@ class TestPlumbing:
         assert got == expected
 
     def test_hybrid_lazy(self):
+        """A mixed counting compile on the lazy backend (through the
+        expand() bridge) matches the counting backend's registers."""
         patterns = ["abc", "x[^\\n]{40,60}y"]
         data = "abc" + "x" + "q" * 50 + "y" + "abc"
-        base, _ = HybridEngine(patterns).run(data)
-        lazy, _ = HybridEngine(patterns, backend="lazy", lazy_cache_size=128).run(data)
-        assert lazy == base
+        options = CompileOptions(counting=True, count_threshold=32, emit_anml=False)
+        for mfsa in compile_ruleset(patterns, options).mfsas:
+            base = IMfantEngine(mfsa, backend="counting").run(data).matches
+            lazy = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=128)
+            assert lazy.run(data).matches == base
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +204,15 @@ class TestPlumbing:
 @settings(max_examples=60, deadline=None)
 def test_lazy_agreement_property(data):
     """Random rulesets/payloads: lazy == python on matches and counters,
-    for every cache size (including ones that evict mid-stream) and both
-    eviction policies."""
+    for every cache size (including ones that flush mid-stream)."""
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=4))
     text = data.draw(input_strings())
     pop = data.draw(st.booleans())
     cache_size = data.draw(st.sampled_from([1, 2, 8, 4096]))
-    eviction = data.draw(st.sampled_from(["flush", "lru"]))
     mfsa = build(patterns)
     py = IMfantEngine(mfsa, backend="python", pop_on_final=pop).run(text)
     lazy = IMfantEngine(mfsa, backend="lazy", pop_on_final=pop,
-                        lazy_cache_size=cache_size, lazy_eviction=eviction).run(text)
+                        lazy_cache_size=cache_size).run(text)
     assert py.matches == reference_match(
         mfsa, text, ActivationConfig(pop_on_final=pop))
     assert lazy.matches == py.matches
@@ -235,16 +223,14 @@ def test_lazy_agreement_property(data):
 @settings(max_examples=40, deadline=None)
 def test_lazy_epsilon_rules_property(data):
     """Rulesets guaranteed to contain an ε-accepting rule (star of a
-    pattern) still agree, across both eviction policies under pressure."""
+    pattern) still agree under cache pressure."""
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=3))
     starred = data.draw(st.integers(min_value=0, max_value=len(patterns) - 1))
     patterns[starred] = f"({patterns[starred]})*"
     text = data.draw(input_strings())
-    eviction = data.draw(st.sampled_from(["flush", "lru"]))
     mfsa = build(patterns)
     py = IMfantEngine(mfsa, backend="python").run(text)
-    lazy = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=2,
-                        lazy_eviction=eviction).run(text)
+    lazy = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=2).run(text)
     assert lazy.matches == py.matches
     assert_stats_equal(py.stats, lazy.stats)
 
@@ -270,10 +256,8 @@ def test_lazy_warm_cache_stays_correct_property(data):
     corrupts results (the cache carries state across runs)."""
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=3))
     texts = data.draw(st.lists(input_strings(), min_size=2, max_size=4))
-    eviction = data.draw(st.sampled_from(["flush", "lru"]))
     mfsa = build(patterns)
-    engine = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=8,
-                          lazy_eviction=eviction)
+    engine = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=8)
     for text in texts:
         expected = IMfantEngine(mfsa, backend="python").run(text)
         got = engine.run(text)

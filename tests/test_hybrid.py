@@ -1,4 +1,12 @@
-"""Tests for the hybrid (MFSA + counting) ruleset engine."""
+"""Mixed ("hybrid") rulesets: ordinary rules next to large bounded repeats.
+
+One counting compile — ``CompileOptions(counting=True,
+count_threshold=N)`` — serves the whole mix: repeats reaching ``N``
+copies become counter registers, every other rule expands and merges as
+usual, and the result runs on ``backend="counting"``.  These tests pin
+the split, rule-id bookkeeping and chunked scans of such rulesets
+against the loop-expanded oracle.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -6,123 +14,134 @@ from hypothesis import strategies as st
 
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
-from repro.engine.hybrid import HybridEngine, rule_needs_counting
+from repro.engine.chunkscan import chunk_scan, resolve_strategy
+from repro.engine.imfant import IMfantEngine
+from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 from conftest import ere_patterns, input_strings
+
+pytestmark = pytest.mark.counting
+
+#: the repeat size from which the tests' compiles count instead of expand
+THRESHOLD = 32
+
+
+def compile_mixed(patterns, threshold=THRESHOLD, merging_factor=0):
+    return compile_ruleset(
+        patterns,
+        CompileOptions(counting=True, count_threshold=threshold,
+                       merging_factor=merging_factor, emit_anml=False),
+    ).mfsas
+
+
+def counted_rules(patterns, threshold=THRESHOLD) -> set:
+    """Rule ids owning at least one counter register."""
+    return {
+        rule
+        for mfsa in compile_mixed(patterns, threshold)
+        for arc in getattr(mfsa, "counting", ())
+        for rule in arc.bel
+    }
+
+
+def run(patterns, data, backend="counting", **kwargs) -> set:
+    out = set()
+    for mfsa in compile_mixed(patterns, **kwargs):
+        out |= IMfantEngine(mfsa, backend=backend).run(data).matches
+    return out
+
+
+def expected(patterns, text) -> set:
+    out = set()
+    for rule_id, pattern in enumerate(patterns):
+        out |= {(rule_id, e) for e in find_match_ends(compile_re_to_fsa(pattern), text)}
+    return out
 
 
 class TestSplit:
     def test_detects_large_repeats(self):
-        assert rule_needs_counting("a{100}b")
-        assert rule_needs_counting("x[0-9]{50,90}")
-        assert not rule_needs_counting("abc")
-        assert not rule_needs_counting("a{3}b")
-        assert not rule_needs_counting("(ab){100}")  # width-2 body: expands
+        assert counted_rules(["a{100}b"]) == {0}
+        assert counted_rules(["x[0-9]{50,90}"]) == {0}
+        assert counted_rules(["abc"]) == set()
+        assert counted_rules(["a{3}b"]) == set()
+        assert counted_rules(["(ab){100}"]) == set()  # width-2 body: expands
 
     def test_threshold_dial(self):
-        assert rule_needs_counting("a{10}", threshold=5)
-        assert not rule_needs_counting("a{10}", threshold=50)
+        assert counted_rules(["a{10}"], threshold=5) == {0}
+        assert counted_rules(["a{10}"], threshold=50) == set()
 
     def test_unbounded_low_counts(self):
-        assert rule_needs_counting("a{100,}b")
+        assert counted_rules(["a{100,}b"]) == {0}
 
     def test_engine_reports_split(self):
-        engine = HybridEngine(["abc", "x{99}y", "def"])
-        assert engine.counting_rule_ids == [1]
-        _, report = engine.run("abcdef")
-        assert report.merged_rules == 2
-        assert report.counting_rules == 1
+        patterns = ["abc", "x{99}y", "def"]
+        assert counted_rules(patterns) == {1}
+        (mfsa,) = compile_mixed(patterns)
+        assert set(mfsa.initials) == {0, 1, 2}  # one automaton for the mix
 
 
 class TestMatching:
     def test_mixed_ruleset(self):
         patterns = ["abc", "a{40}b", "xyz"]
-        engine = HybridEngine(patterns)
         text = "abc" + "a" * 40 + "b" + "xyz"
-        matches, _ = engine.run(text)
-        expected = set()
-        for rule_id, pattern in enumerate(patterns):
-            expected |= {(rule_id, e)
-                         for e in find_match_ends(compile_re_to_fsa(pattern), text)}
-        assert matches == expected
+        assert run(patterns, text) == expected(patterns, text)
 
     def test_rule_ids_preserved_after_split(self):
-        """Counting rules in the middle must not shift merged rule ids."""
-        patterns = ["aaa", "z{60}", "bbb"]
-        engine = HybridEngine(patterns)
-        matches, _ = engine.run("aaabbb")
-        assert matches == {(0, 3), (2, 6)}
+        """Counting rules in the middle must not shift their neighbours'
+        rule ids."""
+        assert run(["aaa", "z{60}", "bbb"], "aaabbb") == {(0, 3), (2, 6)}
 
     def test_all_counting(self):
-        engine = HybridEngine(["a{40}", "b{50}"])
-        matches, report = engine.run("a" * 40)
-        assert matches == {(0, 40)}
-        assert report.merged_rules == 0
+        patterns = ["a{40}", "b{50}"]
+        assert counted_rules(patterns) == {0, 1}
+        assert run(patterns, "a" * 40) == {(0, 40)}
 
     def test_all_merged(self):
-        engine = HybridEngine(["ab", "cd"])
-        matches, report = engine.run("abcd")
-        assert matches == {(0, 2), (1, 4)}
-        assert report.counting_rules == 0
-        assert report.mfsa_count == 1
+        patterns = ["ab", "cd"]
+        mfsas = compile_mixed(patterns)
+        assert len(mfsas) == 1 and not getattr(mfsas[0], "counting", ())
+        assert run(patterns, "abcd") == {(0, 2), (1, 4)}
 
     def test_huge_bound_correct(self):
         """A bound far past the expansion budget still matches exactly."""
-        engine = HybridEngine(["ab", "x{500}y"])
         text = "ab" + "x" * 500 + "y"
-        matches, _ = engine.run(text)
-        assert (1, 503) in matches and (0, 2) in matches
+        assert run(["ab", "x{500}y"], text) == {(0, 2), (1, 503)}
 
     def test_merging_factor_forwarded(self):
-        engine = HybridEngine(["ab", "cd", "ef"], merging_factor=1)
-        _, report = engine.run("abcdef")
-        assert report.mfsa_count == 3
+        assert len(compile_mixed(["ab", "cd", "ef"], merging_factor=1)) == 3
 
 
 class TestRunParallel:
     def test_matches_equal_sequential_run(self):
-        engine = HybridEngine(["abc", "a.*b", "x{40,60}y", "(ab)+"])
+        patterns = ["abc", "a.*b", "x{40,60}y", "(ab)+"]
         data = b"abc" + b"a" + b"q" * 100 + b"b" + b"x" * 50 + b"y" + b"abab" * 20
-        sequential, _ = engine.run(data)
-        parallel, report = engine.run_parallel(data, num_threads=4, chunk_size=32)
+        sequential = run(patterns, data)
+        parallel = set()
+        for mfsa in compile_mixed(patterns):
+            parallel |= chunk_scan(mfsa, data, backend="counting",
+                                   num_threads=4, chunk_size=32)
         assert parallel == sequential
-        assert report.scan_strategy  # the chunked path records what ran
 
     def test_auto_resolves_per_mfsa(self):
-        # bounded-only merged side: auto keeps overlap chunking
-        engine = HybridEngine(["abc", "defg"])
-        _, report = engine.run_parallel(b"zabcdefgz" * 40, chunk_size=64)
-        assert report.scan_strategy == "overlap"
-        # an unbounded rule in the merge flips it to mapping scans
-        engine = HybridEngine(["abc", "a.*b"])
-        _, report = engine.run_parallel(b"zabcdefgz" * 40, chunk_size=64)
-        assert report.scan_strategy == "sfa"
+        # bounded-only ruleset: auto keeps overlap chunking
+        (mfsa,) = compile_mixed(["abc", "defg"])
+        assert resolve_strategy(mfsa, "auto") == "overlap"
+        # an unbounded rule flips it to mapping scans
+        (mfsa,) = compile_mixed(["abc", "a.*b"])
+        assert resolve_strategy(mfsa, "auto") == "sfa"
 
     def test_forced_strategy_forwarded(self):
-        engine = HybridEngine(["abc", "defg"])
+        patterns = ["abc", "defg"]
         data = b"zabcdefgz" * 40
-        sequential, _ = engine.run(data)
-        parallel, report = engine.run_parallel(
-            data, chunk_size=64, scan_strategy="sfa"
-        )
-        assert parallel == sequential
-        assert report.scan_strategy == "sfa"
-
-    def test_sequential_report_strategy_empty(self):
-        _, report = HybridEngine(["ab"]).run("ab")
-        assert report.scan_strategy == ""
+        (mfsa,) = compile_mixed(patterns)
+        assert chunk_scan(mfsa, data, chunk_size=64, strategy="sfa") == run(patterns, data)
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_hybrid_equals_baseline_property(data):
-    """With a low threshold (everything countable counts), the hybrid
-    engine equals the per-rule expansion baseline."""
+    """With a low threshold (everything countable counts), the counting
+    compile equals the per-rule expansion baseline."""
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=4))
     text = data.draw(input_strings())
-    engine = HybridEngine(patterns, counting_threshold=2)
-    matches, _ = engine.run(text)
-    expected = set()
-    for rule_id, pattern in enumerate(patterns):
-        expected |= {(rule_id, e) for e in find_match_ends(compile_re_to_fsa(pattern), text)}
-    assert matches == expected
+    assert run(patterns, text, threshold=2) == expected(patterns, text)

@@ -15,7 +15,6 @@ import pytest
 
 import repro.obs as obs
 from repro.datasets import list_builtin, load_builtin
-from repro.engine.hybrid import HybridEngine
 from repro.engine.imfant import IMfantEngine
 from repro.engine.multithread import run_pool
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
@@ -173,25 +172,6 @@ def test_engines_emit_no_metrics_when_disabled(small_ruleset):
     run = IMfantEngine(result.mfsas[0]).run(_stream_for(small_ruleset, 256))
     assert run.stats.chars_processed == 256
     assert obs.get_registry() is None
-
-
-def test_hybrid_run_spans():
-    patterns = ["abc", "x[0-9]{40,60}y", "q(r|s)t"]
-    engine = HybridEngine(patterns)
-    with obs.capture() as cap:
-        matches, report = engine.run(_stream_for(patterns, 512))
-    names = [s.name for s in cap.tracer.spans()]
-    assert "hybrid.run" in names
-    assert "hybrid.merged" in names
-    assert "hybrid.counting" in names
-    (root,) = [s for s in cap.tracer.spans() if s.name == "hybrid.run"]
-    assert root.attributes["counting_rules"] == 1
-    assert root.attributes["merged_rules"] == 2
-    assert root.attributes["matches"] == len(matches)
-    for name in ("hybrid.merged", "hybrid.counting"):
-        (child,) = [s for s in cap.tracer.spans() if s.name == name]
-        assert child.parent_id == root.span_id
-    cap.tracer.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_scan_segment_deadline_is_absolute(artifact):
 
     from repro.serve.shards import _build_engines, _scan_segment
 
-    engines = _build_engines(artifact.mfsas, "python", 1024, "flush", 64)
+    engines = _build_engines(artifact.mfsas, "python", 1024, 64)
     started = time.perf_counter()
     matches, _, timed_out = _scan_segment(
         engines, PAYLOAD, time.perf_counter() - 1.0, True
