@@ -226,8 +226,7 @@ def _hang_drill(artifact, payload: bytes, oracle: frozenset,
     the budget and rescue the chunks inline, exactly."""
     faultinject.arm("serve.worker.hang", 30.0)
     try:
-        with ShardPool(artifact, num_shards=2, mode="process",
-                       scan_strategy="sfa") as pool:
+        with ShardPool(artifact, num_shards=2, mode="process") as pool:
             started = time.perf_counter()
             result = pool.scan(payload, deadline=deadline)
             elapsed = time.perf_counter() - started

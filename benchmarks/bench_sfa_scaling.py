@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.cli import _demo_stream
 from repro.datasets import load_builtin
-from repro.engine.chunkscan import ruleset_max_width
+from repro.engine.chunkscan import mfsa_max_width
 from repro.engine.cost import CostModel
 from repro.engine.imfant import IMfantEngine
 from repro.engine.multithread import MachineModel, simulate_parallel_latency
@@ -63,7 +63,7 @@ def bench_cell(name: str, chunk_size: int, stream_size: int,
     assert len(compiled.mfsas) == 1  # M = all
     mfsa = compiled.mfsas[0]
     stream = _demo_stream(patterns, stream_size)
-    width = ruleset_max_width(patterns)
+    width = mfsa_max_width(mfsa)
 
     # Sequential baseline: one plain pass, real counters.
     oracle_run = IMfantEngine(mfsa).run(stream)

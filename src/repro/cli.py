@@ -885,13 +885,6 @@ def _serve_run_main(argv: list[str]) -> int:
                         choices=("dense", "lazy", "python", "counting"),
                         default="lazy")
     _add_counting_flags(parser)
-    parser.add_argument("--scan-strategy", choices=("auto", "sfa", "overlap"),
-                        default="auto",
-                        help="shard parallelism contract: overlap chunking, "
-                             "zero-overlap SFA mappings, or auto (overlap for "
-                             "width-bounded rulesets, sfa for unbounded — see "
-                             "docs/parallelism.md; counting artifacts always "
-                             "shard by overlap)")
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
                              "(default: %d)" % DEFAULT_CACHE_SIZE)
@@ -959,7 +952,6 @@ def _serve_run_main(argv: list[str]) -> int:
             mode=args.mode,
             default_deadline=args.deadline,
             lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-            scan_strategy=args.scan_strategy,
             allow_shutdown=not args.no_shutdown_op,
             allow_reload=not args.no_reload_op,
             admission_target=args.admission_target,

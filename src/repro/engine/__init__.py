@@ -24,7 +24,9 @@
   from every entry state): exact zero-overlap data parallelism for any
   ruleset (docs/parallelism.md).
 * :mod:`repro.engine.chunkscan` — chunk-parallel scanning over one
-  payload: overlap chunking or SFA mappings (``strategy=`` knob).
+  payload, and the scan plan it shares with the serve layer's shard
+  pool: overlap chunking when every rule's match width is bounded, SFA
+  mappings when one is not — chosen from the compiled automaton.
 """
 
 from repro.engine.counters import ExecutionStats

@@ -1,187 +1,205 @@
-"""Chunk-parallel scanning of a single stream (data-parallel DPI).
+"""Chunk-parallel scanning of one stream, and the scan plan behind it.
 
 Figs. 9–10 parallelise across *automata*; the orthogonal axis is
 parallelising one automaton across *stream chunks* — the standard
-technique when one flow dominates.  Two strategies are available:
+technique when one flow dominates.  Two parallel strategies exist:
 
+* ``"overlap"`` — the classic bounded-width scheme: a match of width
+  ≤ w that crosses a chunk boundary lies entirely within a w-byte lead
+  prepended to the next chunk, so chunks scan independently on the
+  fastest byte engine (lazy DFA / dense tier) and :func:`rebase_matches`
+  stitches them by absolute offset.
 * ``"sfa"`` — simultaneous-run mappings (:mod:`repro.engine.sfa`):
   every chunk is scanned from every possible entry activation at once,
-  with **zero** shared bytes, and the per-chunk :class:`ChunkMapping`\\ s
-  reduce by associative composition to the exact single-shot answer.
-  Correct for *any* ruleset — bounded, unbounded (``.*``), mixed.
-* ``"overlap"`` — the classic bounded-width scheme: a match of width
-  ≤ w that crosses a chunk boundary lies entirely within a w−1-byte
-  overlap prepended to the next chunk, so chunks scan independently and
-  matches deduplicate by absolute offset.  Requires every rule's match
-  width to be bounded, but each chunk runs on the fastest available
-  byte engine (lazy DFA / dense tier), which the pure-python mapping scan
-  cannot.
+  with **zero** lead bytes, and :func:`~repro.engine.sfa.fold_mappings`
+  reduces the per-chunk :class:`~repro.engine.sfa.ChunkMapping`\\ s to
+  the exact single-shot answer.  Correct for any ruleset, at the cost
+  of the simultaneous entry-pair columns (overhead factor κ ≥ 1).
 
-``strategy="auto"`` (the default) resolves by :func:`mfsa_max_width`:
-bounded automata keep the overlap fast path, unbounded ones — which the
-old code could only scan *sequentially* — now go data-parallel via
-mappings.  The crossover is modelled in
-:meth:`repro.engine.cost.CostModel.mapping_run_cost` and measured by
-``pipeline.autotune.choose_scan_strategy``.
+The compiled automaton chooses, not the caller: :func:`resolve_strategy`
+reads the per-rule width bound of :func:`mfsa_max_width` and returns
+overlap when every rule is bounded, SFA mappings when some rule is
+not.  Counting automata (:class:`~repro.counting.mfsa.CountingMfsa`
+with live counter registers) are the third case: the mapping
+interpreter has no register semantics, so an unbounded counting
+ruleset has no parallel plan and scans as one sequential job.
+:class:`~repro.serve.shards.ShardPool` runs the same planner
+(:func:`plan_shards`), stitcher and fold over its resident workers.
 
-Counting automata (:class:`~repro.counting.mfsa.CountingMfsa` with live
-counter registers) are a capability special case: the SFA mapping
-interpreter has no register semantics, so explicit ``strategy="sfa"``
-is a :class:`~repro.guard.errors.UsageError` and ``"auto"`` resolves to
-``"overlap"`` with the width bound derived from the counter arcs' upper
-bounds (a ``{m,n}`` arc contributes ``n`` to the longest path, which is
-the whole point — the bound survives without expansion).  A ruleset
-with an *unbounded* counting repeat (``{m,}``) has neither an overlap
-bound nor mapping support, so :func:`chunk_scan` runs it in one exact
-sequential pass.
-
-Matches are exactly those of a single-shot scan under either strategy
+Matches are exactly those of a single-shot scan under every plan
 (property-tested, both here and in tests/test_sfa_mapping.py).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.engine.imfant import IMfantEngine
 from repro.engine.lazy import DEFAULT_CACHE_SIZE
-from repro.engine.multithread import map_pool, run_pool
+from repro.engine.multithread import map_pool
 from repro.engine.sfa import SfaScanner, fold_mappings
-from repro.frontend.analysis import max_width
-from repro.frontend.parser import parse
 from repro.guard.errors import UsageError
-from repro.mfsa.model import Mfsa
-
-SCAN_STRATEGIES = ("auto", "sfa", "overlap")
+from repro.mfsa.model import Mfsa, empty_matching_rules
 
 
-def ruleset_max_width(patterns: Sequence[str]) -> Optional[int]:
-    """The longest possible match over the ruleset; None when unbounded."""
+@dataclass(frozen=True)
+class ShardJob:
+    """One worker's slice: scan ``payload[start - lead : stop]``."""
+
+    start: int
+    lead: int
+    stop: int
+
+    @property
+    def segment_slice(self) -> slice:
+        return slice(self.start - self.lead, self.stop)
+
+
+def plan_shards(
+    payload_len: int, num_shards: int, overlap: Optional[int]
+) -> list[ShardJob]:
+    """Split ``[0, payload_len)`` into ≤ ``num_shards`` overlapping jobs.
+
+    Shards are contiguous, near-equal ranges; each (except the first)
+    carries ``min(overlap, start)`` bytes of left context.  Shard sizes
+    below the overlap would re-scan more than they advance, so the
+    planner lowers the shard count until every shard makes progress.
+    ``overlap=None`` (no finite width and no mappings) plans one job.
+    """
+    if num_shards < 1:
+        raise UsageError(f"num_shards must be >= 1 (got {num_shards})")
+    # every shard must advance past its own lead
+    effective = (
+        1 if overlap is None else min(num_shards, max(1, payload_len // (overlap + 1)))
+    )
+    base, remainder = divmod(payload_len, effective)
+    jobs: list[ShardJob] = []
+    start = 0
+    for index in range(effective):
+        stop = start + base + (1 if index < remainder else 0)
+        jobs.append(ShardJob(start=start, lead=min(overlap or 0, start), stop=stop))
+        start = stop
+    return jobs
+
+
+def rebase_matches(
+    matches: Sequence[tuple[int, int]], job: ShardJob
+) -> set[tuple[int, int]]:
+    """Job-relative match ends → absolute ends, lead-claimed ones dropped.
+
+    A match ending inside the lead belongs to the previous shard (it was
+    found there in full); keeping the first shard's ``end >= 0`` matches
+    preserves offset-0 empty-width matches.
+    """
+    base = job.start - job.lead
+    return {
+        (rule, end + base)
+        for rule, end in matches
+        if end > job.lead or (job.start == 0 and end >= 0)
+    }
+
+
+def mfsa_max_width(mfsa) -> Optional[int]:
+    """The longest match any rule of a compiled MFSA admits; None if unbounded.
+
+    Merging (paper Algorithm 1) shares sub-paths across rules, but a
+    rule's activation bit only moves along arcs whose belonging set
+    holds that rule (Eqs. 4–6).  So the bound is taken per rule: the
+    longest path from the rule's initial state over only its own arcs.
+    Unlike a graph-wide longest path, the bound can be finite on a
+    cyclic merged graph: a cycle that no single rule goes all the way
+    round (one rule owns the arc into a shared state, another the arc
+    back out) lengthens no match.  Only a rule's *own* cycle admits
+    unboundedly long matches.  Needs no source patterns, so it works on
+    loaded artifacts too.
+
+    Accepts a :class:`~repro.counting.mfsa.CountingMfsa` as well: a plain
+    arc weighs one byte, a ``{m,n}`` counter arc weighs ``n`` (its
+    longest admissible run), and a rule reaching an unbounded ``{m,}``
+    arc is unbounded.
+    """
+    plain = mfsa.transitions if isinstance(mfsa, Mfsa) else mfsa.plain
+    # src -> [(dst, weight, bel)], weight None for an {m,} arc
+    out: dict[int, list] = {}
+    for t in plain:
+        out.setdefault(t.src, []).append((t.dst, 1, t.bel))
+    for arc in getattr(mfsa, "counting", ()):
+        out.setdefault(arc.src, []).append((arc.dst, arc.high, arc.bel))
     widest = 0
-    for pattern in patterns:
-        width = max_width(parse(pattern))
+    for rule, q0 in mfsa.initials.items():
+        width = _longest_path(out, rule, q0)
         if width is None:
             return None
         widest = max(widest, width)
     return widest
 
 
-def mfsa_max_width(mfsa) -> Optional[int]:
-    """Structural match-width bound of a compiled MFSA; None if unbounded.
-
-    The width of any match is bounded by the longest path in the
-    transition graph — finite exactly when the graph is acyclic (a
-    cycle reachable from an initial state admits unboundedly long
-    matches for at least one of its belonging rules).  Unlike
-    :func:`ruleset_max_width` this needs no source patterns, so it
-    works on deserialized artifacts and post-merge automata.
-
-    Accepts a :class:`~repro.counting.mfsa.CountingMfsa` too: a plain
-    arc weighs one byte along the path, a ``{m,n}`` counter arc weighs
-    ``n`` (its longest admissible run), and any unbounded ``{m,}`` arc
-    makes the whole automaton unbounded immediately.
-    """
-    plain = mfsa.transitions if isinstance(mfsa, Mfsa) else mfsa.plain
-    weights: dict[int, dict[int, int]] = {}
-    for t in plain:
-        dsts = weights.setdefault(t.src, {})
-        dsts[t.dst] = max(dsts.get(t.dst, 0), 1)
-    for arc in getattr(mfsa, "counting", ()):
-        if arc.high is None:
-            return None  # an {m,} repeat admits unboundedly long matches
-        dsts = weights.setdefault(arc.src, {})
-        dsts[arc.dst] = max(dsts.get(arc.dst, 0), arc.high)
-
-    # iterative DFS: weighted longest path if acyclic, None on any cycle
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * mfsa.num_states
-    longest = [0] * mfsa.num_states
-    for root in range(mfsa.num_states):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[int, object]] = [(root, None)]
-        while stack:
-            state, it = stack[-1]
-            if it is None:
-                color[state] = GREY
-                it = iter(weights.get(state, {}))
-                stack[-1] = (state, it)
-            advanced = False
-            for nxt in it:  # type: ignore[union-attr]
-                if color[nxt] == GREY:
-                    return None  # cycle
-                if color[nxt] == WHITE:
-                    stack.append((nxt, None))
-                    advanced = True
-                    break
-                longest[state] = max(longest[state], weights[state][nxt] + longest[nxt])
-            if advanced:
+def _longest_path(out: dict[int, list], rule: int, root: int) -> Optional[int]:
+    """Longest weighted path from ``root`` over ``rule``'s arcs; None when
+    a cycle or an unbounded (``None``-weight) arc is reachable on them."""
+    longest: dict[int, int] = {}
+    on_path = {root}
+    stack = [(root, iter(out.get(root, ())))]
+    while stack:
+        state, pending = stack[-1]
+        for dst, weight, bel in pending:
+            if rule not in bel:
                 continue
-            # children exhausted (account the one finished just above too)
-            for nxt, weight in weights.get(state, {}).items():
-                longest[state] = max(longest[state], weight + longest[nxt])
-            color[state] = BLACK
+            if weight is None or dst in on_path:
+                return None
+            if dst not in longest:
+                on_path.add(dst)
+                stack.append((dst, iter(out.get(dst, ()))))
+                break
+        else:
             stack.pop()
-    return max(longest, default=0)
+            on_path.discard(state)
+            longest[state] = max(
+                (w + longest[d] for d, w, bel in out.get(state, ()) if rule in bel),
+                default=0,
+            )
+    return longest[root]
 
 
-def resolve_strategy(mfsa, strategy: str = "auto") -> str:
-    """``"auto"`` → ``"overlap"`` when the automaton is width-bounded
-    (fast byte engines per chunk), ``"sfa"`` otherwise (the case overlap
-    chunking could only serve sequentially).  Counting automata always
-    resolve to ``"overlap"`` — the mapping interpreter cannot carry
-    counter registers, so explicitly asking for ``"sfa"`` is an error.
+def resolve_strategy(mfsas: Sequence) -> tuple[str, Optional[int]]:
+    """The scan plan a compiled ruleset admits: ``(strategy, width)``.
+
+    * ``("overlap", w)`` — every rule of every automaton is bounded by
+      ``w`` bytes: chunks carry a ``w``-byte lead and run the fastest
+      byte engine;
+    * ``("sfa", None)`` — some rule is unbounded: zero-lead chunks
+      reduced by SFA mappings;
+    * ``("overlap", None)`` — live counter registers and some rule
+      unbounded: the mapping interpreter cannot carry registers, so the
+      plan is one sequential job.
     """
-    if strategy not in SCAN_STRATEGIES:
-        raise UsageError(
-            f"unknown scan strategy {strategy!r} (choose from {SCAN_STRATEGIES})"
-        )
-    has_registers = bool(getattr(mfsa, "counting", ()))
-    if strategy == "sfa" and has_registers:
-        raise UsageError(
-            "the 'sfa' strategy cannot scan counter registers; counting "
-            "rulesets chunk by bounded overlap (unbounded repeats scan "
-            "sequentially)"
-        )
-    if strategy != "auto":
-        return strategy
-    if has_registers:
-        return "overlap"
-    return "overlap" if mfsa_max_width(mfsa) is not None else "sfa"
-
-
-def _complete_eps_rules(
-    mfsa: Mfsa, matches: set[tuple[int, int]], length: int
-) -> set[tuple[int, int]]:
-    """ε-accepting rules match at every offset; chunked scans only see
-    their own ranges (or, for mappings, skip them entirely), so complete
-    the full range explicitly."""
-    for rule, q0 in mfsa.initials.items():
-        if q0 in mfsa.finals[rule]:
-            matches.update((rule, end) for end in range(length + 1))
-    return matches
+    widths = [mfsa_max_width(mfsa) for mfsa in mfsas]
+    if None not in widths:
+        return "overlap", max(widths, default=0)
+    if any(getattr(mfsa, "counting", ()) for mfsa in mfsas):
+        return "overlap", None
+    return "sfa", None
 
 
 def chunk_scan(
     mfsa,
     data: bytes | str,
-    strategy: str = "auto",
     chunk_size: int = 4096,
     num_threads: int = 4,
     backend: str = "python",
     lazy_cache_size: int = DEFAULT_CACHE_SIZE,
     scan_deadline: Optional[float] = None,
-    overlap: Union[int, str, None] = "auto",
 ) -> set[tuple[int, int]]:
     """Scan ``data`` in parallel chunks; returns the single-shot matches.
 
-    ``strategy`` picks the parallelism contract (see module docstring);
-    streams no longer than ``chunk_size`` take one sequential scan under
-    any strategy.  ``overlap`` only applies to the ``"overlap"``
-    strategy: ``"auto"`` derives the width bound from the automaton
-    (:func:`mfsa_max_width`), an int pins it explicitly.  ``backend``
-    selects the per-chunk byte engine for overlap scans; mapping scans
-    are a dedicated simultaneous-run interpreter and ignore it.
+    Plans ``ceil(len / chunk_size)`` chunks under :func:`resolve_strategy`
+    (the planner lowers the count when chunks would not outgrow the
+    overlap lead); a one-chunk plan is a plain sequential scan.
+    ``backend`` selects the byte engine for sequential and overlap
+    scans; mapping scans are a dedicated simultaneous-run interpreter
+    and ignore it.  ``scan_deadline`` applies per chunk; a chunk
+    exceeding it raises :class:`~repro.guard.errors.ScanDeadlineExceeded`.
 
     Under ``backend="lazy"`` (and ``"dense"``, which layers compiled
     tables above the same cache) each overlap-chunk worker *owns* its
@@ -192,153 +210,48 @@ def chunk_scan(
     the chunk length; ``lazy_cache_size`` bounds each worker's cache.
     """
     payload = data.encode("latin-1") if isinstance(data, str) else data
-    resolved = resolve_strategy(mfsa, strategy)
-    sequential = len(payload) <= chunk_size
-    if not sequential and getattr(mfsa, "counting", ()) and mfsa_max_width(mfsa) is None:
-        # An unbounded {m,} counter arc: no overlap bound exists and the
-        # mapping interpreter has no register semantics, so the only
-        # exact option is a single sequential pass.
-        sequential = True
-    if sequential:
-        engine = IMfantEngine(
-            mfsa,
-            backend=backend,
-            lazy_cache_size=lazy_cache_size,
-            scan_deadline=scan_deadline,
-        )
-        return engine.run(payload, collect_stats=False).matches
-    if resolved == "sfa":
-        return mapping_chunk_scan(
-            mfsa,
-            payload,
-            chunk_size=chunk_size,
-            num_threads=num_threads,
-            scan_deadline=scan_deadline,
-        )
-    return overlap_chunk_scan(
-        mfsa,
-        payload,
-        overlap=overlap,
-        chunk_size=chunk_size,
-        num_threads=num_threads,
-        backend=backend,
-        lazy_cache_size=lazy_cache_size,
-        scan_deadline=scan_deadline,
-    )
-
-
-def mapping_chunk_scan(
-    mfsa: Mfsa,
-    data: bytes | str,
-    chunk_size: int = 4096,
-    num_threads: int = 4,
-    scan_deadline: Optional[float] = None,
-    scanner: Optional[SfaScanner] = None,
-) -> set[tuple[int, int]]:
-    """Zero-overlap data-parallel scan via composable chunk mappings.
-
-    Chunks share no bytes; each worker computes its chunk's
-    :class:`~repro.engine.sfa.ChunkMapping` independently (any order),
-    and a sequential O(chunks × state-width) fold threads the exit
-    activations through — exactly the single-shot match set, for any
-    ruleset including unbounded ones.  ``scan_deadline`` is per chunk
-    (the legacy contract); a chunk exceeding it raises
-    :class:`~repro.guard.errors.ScanDeadlineExceeded`.
-    """
-    payload = data.encode("latin-1") if isinstance(data, str) else data
     if chunk_size < 1:
         raise UsageError(f"chunk_size must be >= 1 (got {chunk_size})")
-    sc = scanner if scanner is not None else SfaScanner(
-        mfsa, scan_deadline=scan_deadline
-    )
-    chunks = [
-        payload[start : start + chunk_size]
-        for start in range(0, len(payload), chunk_size)
-    ] or [b""]
-
-    def make_task(segment: bytes):
-        def task():
-            return sc.scan_chunk(segment, collect_stats=False).mapping
-
-        return task
-
-    mappings = map_pool(
-        [make_task(c) for c in chunks], num_threads=num_threads, label="mapping_scan"
-    )
-    matches, _exit = fold_mappings(mappings, [len(c) for c in chunks], sc)
-    return _complete_eps_rules(mfsa, matches, len(payload))
-
-
-def overlap_chunk_scan(
-    mfsa,
-    data: bytes | str,
-    overlap: Union[int, str, None] = "auto",
-    chunk_size: int = 4096,
-    num_threads: int = 4,
-    backend: str = "python",
-    lazy_cache_size: int = DEFAULT_CACHE_SIZE,
-    scan_deadline: Optional[float] = None,
-) -> set[tuple[int, int]]:
-    """The classic bounded-width overlap/stitch scan.
-
-    ``overlap`` must cover the ruleset's maximum match width; ``"auto"``
-    (or ``None``) derives it from the automaton and raises
-    :class:`~repro.guard.errors.UsageError` when the ruleset is
-    unbounded — use :func:`mapping_chunk_scan` (or ``strategy="auto"``)
-    for those.  ``chunk_size`` must exceed the overlap for the split to
-    make progress.
-    """
-    payload = data.encode("latin-1") if isinstance(data, str) else data
-    if overlap == "auto" or overlap is None:
-        overlap = mfsa_max_width(mfsa)
-        if overlap is None:
-            if getattr(mfsa, "counting", ()):
-                raise UsageError(
-                    "overlap scan requires a bounded ruleset; this counting "
-                    "automaton carries an unbounded {m,} repeat — scan it "
-                    "sequentially (chunk_scan does so automatically)"
-                )
-            raise UsageError(
-                "overlap scan requires a bounded ruleset; this automaton "
-                "admits unbounded matches — use the 'sfa' strategy"
-            )
-    engine = IMfantEngine(
-        mfsa, backend=backend, lazy_cache_size=lazy_cache_size, scan_deadline=scan_deadline
-    )
-    if len(payload) <= chunk_size:
-        return engine.run(payload, collect_stats=False).matches
-    if chunk_size <= overlap:
-        raise ValueError(f"chunk_size ({chunk_size}) must exceed overlap ({overlap})")
-
-    # Chunk k covers [start, end) with `lead` bytes of left context; any
-    # match ending inside [start, end) started within the context, so it
-    # is found — and matches ending inside the context are the previous
-    # chunk's responsibility (dropped here to avoid double reporting of
-    # empty-rule offsets; set-dedup covers the rest anyway).
-    jobs = []
-    for start in range(0, len(payload), chunk_size):
-        lead = min(overlap, start)
-        segment = payload[start - lead : min(start + chunk_size, len(payload))]
-        jobs.append((start, lead, segment))
-
-    def make_runner(start: int, lead: int, segment: bytes):
+    strategy, width = resolve_strategy([mfsa])
+    chunks = max(1, -(-len(payload) // chunk_size))
+    jobs = plan_shards(len(payload), chunks, 0 if strategy == "sfa" else width)
+    if strategy == "sfa" and len(jobs) > 1:
+        scanner = SfaScanner(mfsa, scan_deadline=scan_deadline)
+        mappings = map_pool(
+            [
+                lambda job=job: scanner.scan_chunk(
+                    payload[job.segment_slice], collect_stats=False
+                ).mapping
+                for job in jobs
+            ],
+            num_threads=num_threads,
+            label="chunk_scan",
+        )
+        matches, _exit = fold_mappings(
+            mappings, [job.stop - job.start for job in jobs], scanner
+        )
+    else:
+        engine = IMfantEngine(
+            mfsa, backend=backend, lazy_cache_size=lazy_cache_size, scan_deadline=scan_deadline
+        )
+        if len(jobs) == 1:
+            return engine.run(payload, collect_stats=False).matches
         # each worker gets private mutable state (its own lazy cache);
         # fork() is cheap (tables are shared, never rebuilt)
-        worker_engine = engine.fork()
-
-        def run():
-            result = worker_engine.run(segment, collect_stats=False)
-            rebased = {
-                (rule, end + start - lead)
-                for rule, end in result.matches
-                if end > lead or (start == 0 and end >= 0)
-            }
-            result.matches = rebased
-            return result
-        return run
-
-    matches, _ = run_pool(
-        [make_runner(start, lead, segment) for start, lead, segment in jobs],
-        num_threads=num_threads,
-    )
-    return _complete_eps_rules(mfsa, matches, len(payload))
+        found = map_pool(
+            [
+                lambda job=job, worker=engine.fork(): rebase_matches(
+                    worker.run(payload[job.segment_slice], collect_stats=False).matches,
+                    job,
+                )
+                for job in jobs
+            ],
+            num_threads=num_threads,
+            label="chunk_scan",
+        )
+        matches = set().union(*found)
+    # ε-accepting rules match at every offset; chunks only see their own
+    # ranges (mappings skip them entirely), so complete the full range
+    for rule in empty_matching_rules(mfsa):
+        matches.update((rule, end) for end in range(len(payload) + 1))
+    return matches

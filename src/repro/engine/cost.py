@@ -78,8 +78,8 @@ class CostModel:
         entry-pair columns add ``c_linear`` per live linear transition.
         The ratio ``mapping_run_cost / run_cost`` is the mapping
         overhead κ — data-parallel mapping scans beat a sequential scan
-        once the thread count exceeds κ (the crossover
-        ``pipeline.autotune.choose_scan_strategy`` measures).
+        once the thread count exceeds κ (``benchmarks/bench_sfa_scaling.py``
+        prices it per builtin).
         """
         return self.run_cost(stats) + self.c_linear * linear_ops
 

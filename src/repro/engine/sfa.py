@@ -501,9 +501,10 @@ class SfaScanner:
         goes) and the compiled tier bulk-steps warm ones — chunk scans
         start at lazy-cache speed and converge to dense speed as the
         entry-pair config graph stabilises.  ``linear_ops`` is reported
-        as 0 on this path: the κ-counters that feed the autotune cost
-        model come from ``collect_stats=True`` scans, which keep the
-        exact interpretive loop.
+        as 0 on this path: the κ-counters that feed
+        :meth:`~repro.engine.cost.CostModel.mapping_run_cost` come from
+        ``collect_stats=True`` scans, which keep the exact interpretive
+        loop.
         """
         st = self._bulk
         if getattr(st, "disabled", False):
@@ -646,7 +647,7 @@ class SfaScanner:
         tier over the extended entry-pair columns replaces the
         byte-by-byte interpretation — same mapping, byte-identical
         matches (property-tested).  Stats scans keep the interpretive
-        loop, whose exact κ-counters feed the autotune cost model.
+        loop, whose exact κ-counters feed the cost model.
         """
         payload = data.encode("latin-1") if isinstance(data, str) else data
         if deadline_at is None and self.scan_deadline is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.automata.fsa import Fsa
 from repro.labels import ALPHABET_SIZE
-from repro.mfsa.model import Mfsa
+from repro.mfsa.model import Mfsa, empty_matching_rules
 
 _LIMB_BITS = 64
 
@@ -153,7 +153,6 @@ class MfsaTables:
             for byte in t.label.chars():
                 by_symbol[byte].append(triple)
 
-        empty_rules = [rule for rule, q0 in mfsa.initials.items() if q0 in mfsa.finals[rule]]
         return cls(
             num_states=mfsa.num_states,
             num_rules=mfsa.num_rules,
@@ -161,7 +160,7 @@ class MfsaTables:
             init_mask=init_mask,
             final_mask=final_mask,
             by_symbol=by_symbol,
-            empty_matching_rules=empty_rules,
+            empty_matching_rules=empty_matching_rules(mfsa),
         )
 
     def byte_classes(self) -> ByteClasses:

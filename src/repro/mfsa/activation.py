@@ -27,9 +27,9 @@ every traversed arc is exactly the paper's transition-validity condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from repro.mfsa.model import Mfsa
+from repro.mfsa.model import Mfsa, empty_matching_rules
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def reference_match(
     bel_masks = mfsa.belonging_masks()
 
     matches: set[tuple[int, int]] = set()
-    for rule in _empty_matching_rules(mfsa):
+    for rule in empty_matching_rules(mfsa):
         matches.update((rule, end) for end in range(len(payload) + 1))
 
     # Arc lists indexed by symbol for the reference step loop.
@@ -114,12 +114,6 @@ def active_set_trace(mfsa: Mfsa, data: bytes | str) -> list[int]:
         activation = incoming
         trace.append(sum(mask.bit_count() for mask in activation))
     return trace
-
-
-def _empty_matching_rules(mfsa: Mfsa) -> Iterable[int]:
-    for rule, q0 in mfsa.initials.items():
-        if q0 in mfsa.finals[rule]:
-            yield rule
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -205,6 +205,13 @@ class Mfsa:
         )
 
 
+def empty_matching_rules(mfsa) -> list[int]:
+    """Rules whose initial state is final: their language holds ε, so
+    they match at every offset ``0..n`` of an ``n``-byte stream.  Works
+    on plain and counting automata alike."""
+    return [rule for rule, q0 in mfsa.initials.items() if q0 in mfsa.finals[rule]]
+
+
 def from_single_fsa(rule: int, fsa: Fsa, pattern: Optional[str] = None) -> Mfsa:
     """Wrap one ε-free FSA as a trivial MFSA (the M=1 / no-merging case;
     also Algorithm 1's ``generateNew(z, A[1])`` seeding step)."""

@@ -9,14 +9,6 @@ minimising modelled latency, and return an auditable report:
   pre-defined optimal M applying for every dataset" (§VI-C2): DS9 peaks
   at M=100, PRO at M=10/20, the rest at M=all, and the winner further
   depends on the thread budget.
-* :func:`choose_scan_strategy` — mapping-parallel vs. sequential for a
-  single stream.  An SFA mapping scan (:mod:`repro.engine.sfa`) does
-  strictly more per-chunk work than a plain scan (the simultaneous
-  entry-pair columns — overhead factor κ measured from the sample), but
-  splits the stream with zero shared bytes; it wins once the thread
-  count beats κ.  The crossover is a property of the *ruleset and
-  traffic* (κ grows with live entry pairs), so it is measured, not
-  assumed.
 * :func:`choose_backend` — which execution backend actually runs
   fastest on this ruleset/traffic pair.  The per-backend cost model
   (:meth:`~repro.engine.cost.CostModel.backend_run_cost`) supplies the
@@ -40,7 +32,6 @@ from repro.counting.mfsa import CountingMfsa
 from repro.engine.cost import CostModel
 from repro.engine.imfant import IMfantEngine
 from repro.engine.multithread import MachineModel, simulate_parallel_latency
-from repro.engine.sfa import SfaScanner
 from repro.guard.degrade import BACKEND_LADDER
 from repro.guard.errors import AllocationFailed
 from repro.mfsa.model import Mfsa
@@ -148,85 +139,6 @@ def autotune_merging_factor(
         ))
 
     report.best = min(report.candidates, key=lambda c: c.latency)
-    return report
-
-
-@dataclass
-class ScanStrategyReport:
-    """Measured crossover between mapping-parallel and sequential scan."""
-
-    #: modelled single-thread time of one plain scan of the sample
-    sequential_work: float
-    #: modelled total work of the mapping scan (all chunks, incl. the
-    #: simultaneous-run columns)
-    mapping_work: float
-    #: modelled mapping latency at the requested thread count
-    mapping_latency: float
-    #: mapping overhead κ = mapping_work / sequential_work
-    overhead: float
-    threads: int
-    chunk_size: int
-    chunks: int
-    #: "sfa" when mapping-parallel beats sequential at ``threads``
-    chosen: str = "sequential"
-
-    def render(self) -> str:
-        return (
-            f"scan-strategy autotune (threads={self.threads}, "
-            f"chunk_size={self.chunk_size}):\n"
-            f"  sequential work {self.sequential_work:.0f}\n"
-            f"  mapping work {self.mapping_work:.0f} over {self.chunks} "
-            f"chunk(s) (overhead κ={self.overhead:.2f})\n"
-            f"  mapping latency {self.mapping_latency:.0f}"
-            f" -> {self.chosen} selected"
-        )
-
-
-def choose_scan_strategy(
-    mfsa: Mfsa,
-    sample: bytes | str,
-    threads: int = 4,
-    chunk_size: int = 4096,
-    cost_model: CostModel | None = None,
-    machine: MachineModel | None = None,
-    backend: str = "python",
-) -> ScanStrategyReport:
-    """Measure whether mapping-parallel scanning beats sequential here.
-
-    Profiles both sides on ``sample``: one plain engine pass (the
-    sequential baseline) and one :class:`~repro.engine.sfa.SfaScanner`
-    pass per chunk (the mapping side, whose measured ``linear_ops``
-    captures the simultaneous-run overhead for *this* automaton on
-    *this* traffic).  The mapping side's latency is the machine-model
-    makespan of the per-chunk works at ``threads`` — the same
-    simulation that drives the Fig. 10 scaling figures, since CPython
-    threads cannot exhibit the hardware's parallelism directly.
-    """
-    payload = sample.encode("latin-1") if isinstance(sample, str) else sample
-    cost_model = cost_model or CostModel()
-    machine = machine or MachineModel()
-
-    sequential_stats = IMfantEngine(mfsa, backend=backend).run(payload).stats
-    sequential_work = cost_model.run_cost(sequential_stats)
-
-    scanner = SfaScanner(mfsa)
-    chunk_works = []
-    for start in range(0, max(len(payload), 1), chunk_size):
-        scan = scanner.scan_chunk(payload[start : start + chunk_size])
-        chunk_works.append(cost_model.mapping_run_cost(scan.stats, scan.linear_ops))
-    mapping_work = sum(chunk_works)
-    mapping_latency = simulate_parallel_latency(chunk_works, threads, machine)
-
-    report = ScanStrategyReport(
-        sequential_work=sequential_work,
-        mapping_work=mapping_work,
-        mapping_latency=mapping_latency,
-        overhead=(mapping_work / sequential_work) if sequential_work > 0 else 1.0,
-        threads=threads,
-        chunk_size=chunk_size,
-        chunks=len(chunk_works),
-        chosen="sfa" if mapping_latency < sequential_work else "sequential",
-    )
     return report
 
 

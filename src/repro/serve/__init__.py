@@ -7,7 +7,8 @@ The serving layer on top of the compile→match pipeline (docs/serving.md):
   and every worker process — loads the MFSAs via
   :mod:`repro.mfsa.serialize` instead of recompiling;
 * :mod:`repro.serve.shards` — :class:`ShardPool`, data-parallel payload
-  scanning with chunkscan's overlap/stitch semantics, per-worker
+  scanning under chunkscan's scan plan (overlap/stitch or SFA mappings,
+  chosen from the compiled automaton), per-worker
   :meth:`~repro.engine.imfant.IMfantEngine.fork` engines, deadline-
   bounded partial results and the guard backend-degradation ladder;
 * :mod:`repro.serve.protocol` — length-prefixed JSON frames with

@@ -97,11 +97,6 @@ class ServeConfig:
     lazy_cache_size: int = DEFAULT_CACHE_SIZE
     #: scan positions between deadline checks inside the engines
     deadline_stride: int = DEFAULT_DEADLINE_STRIDE
-    #: parallelism contract for the shard pool: "auto" keeps overlap
-    #: chunking for width-bounded rulesets and goes mapping-parallel
-    #: (zero overlap bytes, composable SFA mappings) for unbounded ones;
-    #: "sfa"/"overlap" force one — see docs/parallelism.md
-    scan_strategy: str = "auto"
     #: honour the protocol's ``shutdown`` op (CLI and tests; a hardened
     #: deployment would front this with real auth)
     allow_shutdown: bool = True
@@ -246,7 +241,6 @@ class MatchService:
             mode=self.config.mode,
             lazy_cache_size=self.config.lazy_cache_size,
             deadline_stride=self.config.deadline_stride,
-            scan_strategy=self.config.scan_strategy,
             supervisor=self.supervisor,
         )
 
@@ -802,7 +796,7 @@ class MatchService:
             "queue_depth": self.config.queue_depth,
             "queued": self._queue.qsize() if self._queue is not None else 0,
             "overlap": self.pool.overlap,
-            "strategy": self.pool.scan_strategy,
+            "strategy": self.pool.strategy,
             "requests_handled": self.requests_handled,
             "requests_rejected": self.requests_rejected,
             "requests_partial": self.requests_partial,

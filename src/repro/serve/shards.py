@@ -4,23 +4,28 @@ Figs. 9–10 parallelise across automata; :mod:`repro.engine.chunkscan`
 parallelises one automaton across stream chunks.  The serve layer needs
 the chunk axis as a *resident* facility — workers that outlive requests,
 own their engines, and scan whatever payload slice the planner hands
-them — so this module lifts chunkscan's overlap/stitch semantics into a
-:class:`ShardPool`:
+them — so :class:`ShardPool` runs chunkscan's plan over long-lived
+workers:
 
-* **Planning** — :func:`plan_shards` splits ``[0, n)`` into per-worker
-  jobs ``(start, lead, stop)`` where ``lead ≤ overlap`` bytes of left
-  context are prepended.  Any match of width ≤ overlap that crosses a
-  boundary lies entirely inside some job's segment, so scanning jobs
-  independently loses nothing (property-tested against single-pass).
-* **Stitching** — :func:`rebase_matches` re-bases a job's match offsets
-  to absolute positions and drops matches ending inside the lead (the
-  previous shard's responsibility), exactly as chunkscan does.
-* **Workers** — each pool worker owns :meth:`IMfantEngine.fork` clones
-  of the template engines (shared immutable tables, private lazy
-  caches).  ``mode="thread"`` keeps workers in-process;
-  ``mode="process"`` runs them in forked worker processes that *load*
-  the compiled artifact from the :class:`~repro.serve.artifacts.
-  ArtifactStore` instead of recompiling.
+* **Planning** — the artifact's automata choose the plan once
+  (:func:`~repro.engine.chunkscan.resolve_strategy`): overlap jobs with
+  a per-rule width lead, zero-lead SFA mapping jobs when some rule is
+  unbounded, or one sequential job when live counter registers meet an
+  unbounded rule.  :func:`~repro.engine.chunkscan.plan_shards` cuts the
+  payload.
+* **Stitching** — overlap jobs re-base through
+  :func:`~repro.engine.chunkscan.rebase_matches`; mapping jobs fold per
+  MFSA through :func:`~repro.engine.sfa.fold_mappings`, which threads
+  exit activations through the shards in payload order (workers finish
+  in any order — composition does not care).
+* **Workers** — one entry point per mode, :meth:`ShardPool._thread_scan`
+  and :func:`_process_scan`, running the scan the plan picked: byte
+  engines (:meth:`IMfantEngine.fork` clones — shared immutable tables,
+  private lazy caches) or the shared, immutable SFA scanners.
+  ``mode="thread"`` keeps workers in-process; ``mode="process"`` runs
+  them in forked worker processes that *load* the compiled artifact
+  from the :class:`~repro.serve.artifacts.ArtifactStore` instead of
+  recompiling.
 * **Degradation** — an :class:`~repro.guard.errors.AllocationFailed`
   while building worker engines steps the pool down the
   :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → python)
@@ -40,30 +45,16 @@ them — so this module lifts chunkscan's overlap/stitch semantics into a
   job that blows it returns the honest partial result carried by
   :class:`~repro.guard.errors.ScanDeadlineExceeded` and the pool marks
   the scan ``partial`` instead of hanging or discarding the other
-  shards' work.
+  shards' work.  A mapping lost to the deadline still contributes its
+  *const* matches — genuine whatever the lost entry activation — and
+  the fold continues from the empty activation (a sound under-
+  approximation, the step function being monotone).
 * **ε-rules stay compact** — a rule accepting the empty string matches
   at every offset ``0..len(payload)``; enumerating those tuples scales
   with the payload (a remotely-triggerable memory blow-up at service
   scale), so the pool strips them from the enumerated set and reports
   the rule ids in ``all_offsets_rules`` instead.  Callers that want the
   materialized set use :meth:`ShardScanResult.full_matches`.
-
-Overlap planning requires a bounded match width.  A ruleset with an
-unbounded width (``.*`` …) has no finite sound overlap — historically
-the pool ran those scans as one *sequential* job.  The pool now carries
-a second strategy, ``scan_strategy="sfa"`` (:mod:`repro.engine.sfa`):
-each worker computes its slice's :class:`~repro.engine.sfa.ChunkMapping`
-— a simultaneous run from every possible entry activation — with **zero
-lead bytes**, workers complete in any order, and the dispatcher reduce
-threads exit activations through the mappings in O(shards × state
-width).  ``scan_strategy="auto"`` keeps the overlap fast path (each
-slice runs the fastest byte engine) for bounded rulesets and goes
-mapping-parallel exactly where overlap planning used to degrade to
-sequential.  A shard blowing its deadline under the mapping strategy
-still contributes its honest partial: the salvaged matches are the
-mapping's *const* part — genuine matches whatever the lost entry
-activation — and the reduce continues from the empty activation (a
-sound under-approximation, the step function being monotone).
 """
 
 from __future__ import annotations
@@ -87,8 +78,8 @@ import repro.obs as obs
 from repro.engine.counters import ExecutionStats
 from repro.engine.imfant import BACKENDS, DEFAULT_DEADLINE_STRIDE, IMfantEngine
 from repro.engine.lazy import DEFAULT_CACHE_SIZE
-from repro.engine.chunkscan import SCAN_STRATEGIES, ruleset_max_width
-from repro.engine.sfa import ChunkMapping, SfaScanner
+from repro.engine.chunkscan import ShardJob, plan_shards, rebase_matches, resolve_strategy
+from repro.engine.sfa import ChunkMapping, SfaScanner, fold_mappings
 from repro.guard import faultinject
 from repro.guard.degrade import (
     DegradationStep,
@@ -101,7 +92,7 @@ from repro.guard.errors import (
     ScanDeadlineExceeded,
     UsageError,
 )
-from repro.mfsa.model import Mfsa
+from repro.mfsa.model import Mfsa, empty_matching_rules
 from repro.serve.artifacts import Artifact
 from repro.serve.resilience import ShardSupervisor
 
@@ -109,61 +100,6 @@ __all__ = ["ShardJob", "ShardScanResult", "ShardPool", "plan_shards", "rebase_ma
 
 #: a hung-worker watchdog never fires earlier than this past the deadline
 _WATCHDOG_MIN_GRACE = 0.05
-
-
-@dataclass(frozen=True)
-class ShardJob:
-    """One worker's slice: scan ``payload[start - lead : stop]``."""
-
-    start: int
-    lead: int
-    stop: int
-
-    @property
-    def segment_slice(self) -> slice:
-        return slice(self.start - self.lead, self.stop)
-
-
-def plan_shards(payload_len: int, num_shards: int, overlap: int) -> list[ShardJob]:
-    """Split ``[0, payload_len)`` into ≤ ``num_shards`` overlapping jobs.
-
-    Shards are contiguous, near-equal ranges; each (except the first)
-    carries ``min(overlap, start)`` bytes of left context.  Shard sizes
-    below the overlap would re-scan more than they advance, so the
-    planner lowers the shard count until every shard makes progress.
-    """
-    if num_shards < 1:
-        raise UsageError(f"num_shards must be >= 1 (got {num_shards})")
-    if payload_len <= 0:
-        return [ShardJob(0, 0, payload_len)] if payload_len == 0 else []
-    # every shard must advance past its own lead
-    effective = min(num_shards, max(1, payload_len // max(1, overlap + 1)))
-    base, remainder = divmod(payload_len, effective)
-    jobs: list[ShardJob] = []
-    start = 0
-    for index in range(effective):
-        size = base + (1 if index < remainder else 0)
-        stop = start + size
-        jobs.append(ShardJob(start=start, lead=min(overlap, start), stop=stop))
-        start = stop
-    return jobs
-
-
-def rebase_matches(
-    matches: Sequence[tuple[int, int]], job: ShardJob
-) -> set[tuple[int, int]]:
-    """Job-relative match ends → absolute ends, lead-claimed ones dropped.
-
-    A match ending inside the lead belongs to the previous shard (it was
-    found there in full); keeping the first shard's ``end >= 0`` matches
-    preserves offset-0 empty-width matches, as in chunkscan.
-    """
-    base = job.start - job.lead
-    return {
-        (rule, end + base)
-        for rule, end in matches
-        if end > job.lead or (job.start == 0 and end >= 0)
-    }
 
 
 @dataclass
@@ -212,8 +148,9 @@ _PROCESS_STATE: dict = {}
 
 
 def _process_init(artifact_path: str, backend: str, lazy_cache_size: int,
-                  deadline_stride: int, strategy: str = "overlap") -> None:
-    """Worker-process initializer: *load* the artifact, never recompile."""
+                  deadline_stride: int, strategy: str) -> None:
+    """Worker-process initializer: *load* the artifact, never recompile,
+    and pick the plan's per-segment scan once."""
     import json
 
     from repro.mfsa.serialize import mfsa_from_dict
@@ -223,69 +160,39 @@ def _process_init(artifact_path: str, backend: str, lazy_cache_size: int,
     if strategy == "sfa":
         # mapping workers run the dedicated simultaneous-run interpreter;
         # no byte engines (and no lazy caches) are needed
-        _PROCESS_STATE["scanners"] = _build_scanners(mfsas, deadline_stride)
+        _PROCESS_STATE["scan"] = (
+            _scan_segment_mappings, _build_scanners(mfsas, deadline_stride)
+        )
     else:
-        _PROCESS_STATE["engines"] = _build_engines(
-            mfsas, backend, lazy_cache_size, deadline_stride
+        _PROCESS_STATE["scan"] = (
+            _scan_segment,
+            _build_engines(mfsas, backend, lazy_cache_size, deadline_stride),
         )
 
 
-def _process_scan(args: tuple) -> tuple[set, ExecutionStats, bool, list]:
+def _process_scan(args: tuple) -> tuple[object, ExecutionStats, bool, list]:
     """Scan one segment in a worker process.
 
-    The parent's tracer lives in another address space, so when the job
-    carries a ``trace`` request the worker records its span into a
-    throwaway local tracer and ships the exported rows (absolute
-    ``perf_counter`` times — CLOCK_MONOTONIC, shared machine-wide) back
-    with the result for the parent to adopt.
+    Under the SFA plan the result carries the segment's per-MFSA
+    :class:`ChunkMapping`\\ s: pure data that pickles home, where the
+    parent's scanners fold them (signature-checked).  The parent's
+    tracer lives in another address space, so when the job carries a
+    ``trace`` request the worker records its span into a throwaway
+    local tracer and ships the exported rows (absolute ``perf_counter``
+    times — CLOCK_MONOTONIC, shared machine-wide) back with the result
+    for the parent to adopt.
     """
     segment, deadline_at, collect_stats, shard_index, trace = args
     faultinject.fire("serve.worker.kill")
     faultinject.fire("serve.worker.hang")
-    if trace is None:
-        matches, stats, timed_out = _scan_segment(
-            _PROCESS_STATE["engines"], segment, deadline_at, collect_stats
-        )
-        return matches, stats, timed_out, []
-    from repro.obs.spans import Tracer
-
-    tracer = Tracer("repro-shard-worker")
+    scan, workers = _PROCESS_STATE["scan"]
     started = time.perf_counter()
-    matches, stats, timed_out = _scan_segment(
-        _PROCESS_STATE["engines"], segment, deadline_at, collect_stats
-    )
-    tracer.record_span(
-        "serve.worker_scan",
-        started,
-        time.perf_counter(),
-        trace_id=trace.get("trace_id"),
-        shard=shard_index,
-        bytes=len(segment),
-        timed_out=timed_out,
-    )
-    return matches, stats, timed_out, tracer.export_spans()
-
-
-def _process_scan_mapping(args: tuple) -> tuple[tuple, ExecutionStats, bool, list]:
-    """Mapping-strategy sibling of :func:`_process_scan`: compute the
-    segment's per-MFSA :class:`ChunkMapping`\\ s in a worker process.
-    Mappings are pure data and pickle home; the parent re-attaches them
-    to its own scanners (signature-checked)."""
-    segment, deadline_at, collect_stats, shard_index, trace = args
-    faultinject.fire("serve.worker.kill")
-    faultinject.fire("serve.worker.hang")
+    payload, stats, timed_out = scan(workers, segment, deadline_at, collect_stats)
     if trace is None:
-        payload, stats, timed_out = _scan_segment_mappings(
-            _PROCESS_STATE["scanners"], segment, deadline_at, collect_stats
-        )
         return payload, stats, timed_out, []
     from repro.obs.spans import Tracer
 
     tracer = Tracer("repro-shard-worker")
-    started = time.perf_counter()
-    payload, stats, timed_out = _scan_segment_mappings(
-        _PROCESS_STATE["scanners"], segment, deadline_at, collect_stats
-    )
     tracer.record_span(
         "serve.worker_scan",
         started,
@@ -417,8 +324,6 @@ class ShardPool:
         mode: str = "thread",
         lazy_cache_size: int = DEFAULT_CACHE_SIZE,
         deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
-        overlap: Optional[int] = "auto",  # type: ignore[assignment]
-        scan_strategy: str = "auto",
         supervisor: Optional[ShardSupervisor] = None,
     ) -> None:
         if num_shards < 1:
@@ -429,38 +334,22 @@ class ShardPool:
             raise UsageError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         if mode == "process" and artifact.path is None:
             raise UsageError("process-mode shards need an on-disk artifact to load")
-        if scan_strategy not in SCAN_STRATEGIES:
-            raise UsageError(
-                f"unknown scan strategy {scan_strategy!r} "
-                f"(choose from {SCAN_STRATEGIES})"
-            )
-        has_registers = any(getattr(m, "counting", ()) for m in artifact.mfsas)
-        if scan_strategy == "sfa" and has_registers:
-            raise UsageError(
-                "the 'sfa' strategy cannot scan counter registers; counting "
-                "artifacts shard by bounded overlap (unbounded repeats serve "
-                "sequentially)"
-            )
         self.artifact = artifact
         self.num_shards = num_shards
         self.backend = backend
         self.mode = mode
         self.lazy_cache_size = lazy_cache_size
         self.deadline_stride = deadline_stride
-        #: max match width over the ruleset; None = unbounded
-        self.overlap: Optional[int] = (
-            ruleset_max_width(artifact.patterns) if overlap == "auto" else overlap
-        )
-        #: resolved parallelism contract: overlap fast path when the
-        #: width is bounded, zero-lead mapping scan when it is not (the
-        #: case overlap planning used to serve sequentially).  Counting
-        #: artifacts never take the mapping path — with an unbounded
-        #: repeat they fall through to the overlap strategy's sequential
-        #: single-job plan (``self.overlap is None``).
-        self.scan_strategy: str = (
-            scan_strategy
-            if scan_strategy != "auto"
-            else ("overlap" if self.overlap is not None or has_registers else "sfa")
+        #: the plan the automata admit ("overlap" | "sfa") and the
+        #: per-rule max match width (None = unbounded; under "overlap",
+        #: that is a counting artifact scanned as one job)
+        self.strategy, self.overlap = resolve_strategy(artifact.mfsas)
+        #: the per-segment scan the plan picks, chosen once: SFA scanners
+        #: (shared, immutable) or this thread's byte-engine forks
+        self._segment_scan = (
+            (_scan_segment_mappings, ShardPool._ensure_scanners)
+            if self.strategy == "sfa"
+            else (_scan_segment, ShardPool._worker_engines)
         )
         self.degradations: list[DegradationStep] = []
         self._scanners: Optional[list[SfaScanner]] = None
@@ -469,7 +358,9 @@ class ShardPool:
         self._generation = 0  # bumped on degradation; invalidates worker forks
         self._templates: Optional[list[IMfantEngine]] = None
         self._executor: Optional[Executor] = None
-        self._empty_matching_rules = self._find_empty_matching_rules(artifact.mfsas)
+        self._empty_matching_rules = [
+            rule for mfsa in artifact.mfsas for rule in empty_matching_rules(mfsa)
+        ]
         #: restart/backoff/breaker bookkeeping for worker failures
         self.supervisor = supervisor if supervisor is not None else ShardSupervisor()
         #: outcome of the most recent :meth:`heartbeat` (None = never ran)
@@ -477,15 +368,6 @@ class ShardPool:
         # hot reload holds retired pools open until in-flight scans drain
         self._refs = 0
         self._retired = False
-
-    @staticmethod
-    def _find_empty_matching_rules(mfsas: Sequence[Mfsa]) -> list[int]:
-        rules = []
-        for mfsa in mfsas:
-            for rule, q0 in mfsa.initials.items():
-                if q0 in mfsa.finals[rule]:
-                    rules.append(rule)
-        return rules
 
     # -- worker/executor management ---------------------------------------
 
@@ -504,7 +386,7 @@ class ShardPool:
                         self.backend,
                         self.lazy_cache_size,
                         self.deadline_stride,
-                        self.scan_strategy,
+                        self.strategy,
                     ),
                 )
         return self._executor
@@ -588,8 +470,9 @@ class ShardPool:
         shard_index: int,
         trace_id: Optional[str],
         parent: Optional[obs.Span],
-    ) -> tuple[set, ExecutionStats, bool, list]:
+    ) -> tuple[object, ExecutionStats, bool, list]:
         faultinject.fire("serve.worker.hang")
+        scan, workers = self._segment_scan
         with obs.span(
             "serve.worker_scan",
             parent=parent,
@@ -597,31 +480,8 @@ class ShardPool:
             shard=shard_index,
             bytes=len(segment),
         ) as span:
-            matches, stats, timed_out = _scan_segment(
-                self._worker_engines(), segment, deadline_at, collect_stats
-            )
-            span.set(timed_out=timed_out)
-        return matches, stats, timed_out, []
-
-    def _thread_scan_mapping(
-        self,
-        segment: bytes,
-        deadline_at: Optional[float],
-        collect_stats: bool,
-        shard_index: int,
-        trace_id: Optional[str],
-        parent: Optional[obs.Span],
-    ) -> tuple[tuple, ExecutionStats, bool, list]:
-        faultinject.fire("serve.worker.hang")
-        with obs.span(
-            "serve.worker_scan",
-            parent=parent,
-            trace_id=trace_id,
-            shard=shard_index,
-            bytes=len(segment),
-        ) as span:
-            payload, stats, timed_out = _scan_segment_mappings(
-                self._ensure_scanners(), segment, deadline_at, collect_stats
+            payload, stats, timed_out = scan(
+                workers(self), segment, deadline_at, collect_stats
             )
             span.set(timed_out=timed_out)
         return payload, stats, timed_out, []
@@ -680,27 +540,21 @@ class ShardPool:
         data: bytes,
         deadline: Optional[float],
         collect_stats: bool,
-        mapping_mode: bool,
     ) -> tuple:
         """Re-scan one job inline on the dispatcher thread — the exact
-        fallback when the job's worker died or wedged.  Mapping-strategy
-        jobs recompute the slice's :class:`ChunkMapping` (the monoid
-        composes identically whoever computed it); overlap jobs re-run
-        the byte engines.  The rescue gets a fresh copy of the relative
-        deadline: the original budget died with the worker, and an honest
-        partial beats an empty answer."""
-        segment = data[job.segment_slice]
+        fallback when the job's worker died or wedged.  Mapping jobs
+        recompute the slice's :class:`ChunkMapping` (the monoid composes
+        identically whoever computed it); overlap jobs re-run the byte
+        engines.  The rescue gets a fresh copy of the relative deadline:
+        the original budget died with the worker, and an honest partial
+        beats an empty answer."""
         deadline_at = (
             time.perf_counter() + deadline if deadline is not None else None
         )
-        if mapping_mode:
-            payload, stats, timed_out = _scan_segment_mappings(
-                self._ensure_scanners(), segment, deadline_at, collect_stats
-            )
-        else:
-            payload, stats, timed_out = _scan_segment(
-                self._worker_engines(), segment, deadline_at, collect_stats
-            )
+        scan, workers = self._segment_scan
+        payload, stats, timed_out = scan(
+            workers(self), data[job.segment_slice], deadline_at, collect_stats
+        )
         self._count(
             "serve_rescued_jobs_total",
             "shard jobs re-scanned inline after a worker death or hang",
@@ -715,7 +569,6 @@ class ShardPool:
         deadline: Optional[float],
         deadline_at: Optional[float],
         collect_stats: bool,
-        mapping_mode: bool,
     ) -> tuple[list, Optional[BaseException]]:
         """Gather every shard job, under a hung-worker watchdog whenever
         the scan has a deadline.
@@ -757,18 +610,18 @@ class ShardPool:
                     watchdog_fired = True
                     self._kill_stuck_workers()
                 outcomes.append(
-                    self._rescue_job(jobs[index], data, deadline, collect_stats, mapping_mode)
+                    self._rescue_job(jobs[index], data, deadline, collect_stats)
                 )
             except CancelledError:
                 # queued behind the wedge; never ran before the kill
                 outcomes.append(
-                    self._rescue_job(jobs[index], data, deadline, collect_stats, mapping_mode)
+                    self._rescue_job(jobs[index], data, deadline, collect_stats)
                 )
             except (AllocationFailed, BrokenProcessPool) as exc:
                 if watchdog_fired:
                     # collateral of the watchdog's kill, not a new failure
                     outcomes.append(
-                        self._rescue_job(jobs[index], data, deadline, collect_stats, mapping_mode)
+                        self._rescue_job(jobs[index], data, deadline, collect_stats)
                     )
                 else:
                     return outcomes, exc
@@ -825,16 +678,10 @@ class ShardPool:
         mode) into the caller's request trace.
         """
         data = payload.encode("latin-1") if isinstance(payload, str) else payload
-        mapping_mode = self.scan_strategy == "sfa"
-        if mapping_mode:
-            # zero lead bytes: mappings make workers truly independent
-            jobs = plan_shards(len(data), self.num_shards, 0)
-        elif self.overlap is None:
-            # explicit overlap strategy on an unbounded ruleset: the
-            # legacy sequential fallback (still governed, one worker)
-            jobs = [ShardJob(0, 0, len(data))]
-        else:
-            jobs = plan_shards(len(data), self.num_shards, self.overlap)
+        # zero lead bytes under mappings: workers are truly independent
+        jobs = plan_shards(
+            len(data), self.num_shards, 0 if self.strategy == "sfa" else self.overlap
+        )
         deadline_at = time.perf_counter() + deadline if deadline is not None else None
 
         with obs.span(
@@ -845,7 +692,7 @@ class ShardPool:
             bytes=len(data),
             backend=self.backend,
             mode=self.mode,
-            strategy=self.scan_strategy,
+            strategy=self.strategy,
         ) as span:
             registry = obs.get_registry()
             scan_parent = span if isinstance(span, obs.Span) else None
@@ -874,7 +721,7 @@ class ShardPool:
                         "scans served inline while the worker breaker was open",
                     )
                     outcomes = [
-                        self._rescue_job(job, data, deadline, collect_stats, mapping_mode)
+                        self._rescue_job(job, data, deadline, collect_stats)
                         for job in jobs
                     ]
                     break
@@ -885,20 +732,13 @@ class ShardPool:
                     for index, job in enumerate(jobs):
                         segment = data[job.segment_slice]
                         if self.mode == "thread":
-                            thread_scan = (
-                                self._thread_scan_mapping if mapping_mode
-                                else self._thread_scan
-                            )
                             future = executor.submit(
-                                thread_scan, segment, deadline_at, collect_stats,
+                                self._thread_scan, segment, deadline_at, collect_stats,
                                 index, trace_id, scan_parent,
                             )
                         else:
-                            process_scan = (
-                                _process_scan_mapping if mapping_mode else _process_scan
-                            )
                             future = executor.submit(
-                                process_scan,
+                                _process_scan,
                                 (segment, deadline_at, collect_stats, index, trace_request),
                             )
                         if registry is not None:
@@ -924,8 +764,7 @@ class ShardPool:
                     outcomes, failure = [], submit_failure
                 else:
                     outcomes, failure = self._collect_outcomes(
-                        futures, jobs, data, deadline, deadline_at,
-                        collect_stats, mapping_mode,
+                        futures, jobs, data, deadline, deadline_at, collect_stats,
                     )
                 if failure is None:
                     self.supervisor.record_success()
@@ -958,36 +797,18 @@ class ShardPool:
             matches: set[tuple[int, int]] = set()
             totals = ExecutionStats()
             timed_out: list[int] = []
-            # mapping reduce state: per-MFSA entry activation, threaded
-            # through the shards in payload order (workers may well have
-            # finished in any other order — composition doesn't care)
-            scanners = self._ensure_scanners() if mapping_mode else []
-            activations: list[dict] = [{} for _ in scanners]
+            mapping_rows: list[list[Optional[ChunkMapping]]] = []
             for index, (job, outcome) in enumerate(zip(jobs, outcomes)):
                 job_payload, job_stats, job_timed_out, span_rows = outcome
                 if span_rows:
                     tracer = obs.get_tracer()
                     if tracer is not None:
                         tracer.adopt_spans(span_rows, parent=scan_parent)
-                if mapping_mode:
-                    job_mappings, salvage = job_payload
-                    for slot, scanner in enumerate(scanners):
-                        mapping = job_mappings[slot]
-                        if mapping is None:
-                            # deadline hit: const matches were salvaged;
-                            # continue from the empty activation (sound
-                            # under-approximation — see module docstring)
-                            activations[slot] = {}
-                            continue
-                        if mapping.scanner is None:  # crossed a process
-                            mapping = scanner.attach(mapping)
-                        found, activations[slot] = scanner.apply(
-                            mapping, activations[slot], base=job.start
-                        )
-                        matches |= found
-                    matches |= {(rule, end + job.start) for rule, end in salvage}
-                else:
-                    matches |= rebase_matches(job_payload, job)
+                if self.strategy == "sfa":
+                    # a lost mapping's const matches come back salvaged
+                    job_mappings, job_payload = job_payload
+                    mapping_rows.append(job_mappings)
+                matches |= rebase_matches(job_payload, job)
                 totals.merge(job_stats)
                 if job_timed_out:
                     timed_out.append(index)
@@ -1002,6 +823,13 @@ class ShardPool:
                         bounds=_THROUGHPUT_BUCKETS,
                         help="per-shard scan throughput",
                     ).observe(job_stats.chars_processed / job_stats.wall_seconds)
+            if self.strategy == "sfa":
+                lengths = [job.stop - job.start for job in jobs]
+                for slot, scanner in enumerate(self._ensure_scanners()):
+                    found, _exit = fold_mappings(
+                        [row[slot] for row in mapping_rows], lengths, scanner
+                    )
+                    matches |= found
 
             # ε-accepting rules match at every offset 0..len(data); the
             # engines enumerate them per segment, which scales with the
@@ -1042,7 +870,7 @@ class ShardPool:
             partial=bool(timed_out),
             timed_out_shards=timed_out,
             degradations=list(self.degradations),
-            strategy=self.scan_strategy,
+            strategy=self.strategy,
         )
 
     # -- lifecycle ---------------------------------------------------------

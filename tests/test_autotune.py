@@ -78,41 +78,6 @@ class TestAutotune:
         assert got == expected
 
 
-class TestChooseScanStrategy:
-    def test_parallel_budget_picks_mapping(self):
-        """With threads to spare, mapping-parallel wins: κ is a small
-        constant while the thread budget divides the latency."""
-        from repro.mfsa.merge import merge_fsas
-        from repro.pipeline.autotune import choose_scan_strategy
-
-        compiled = compile_ruleset(["a.*b", "x.*"], CompileOptions(emit_anml=False))
-        mfsa = merge_fsas(compiled.mfsas) if len(compiled.mfsas) > 1 else compiled.mfsas[0]
-        report = choose_scan_strategy(mfsa, b"aqqqbxyz" * 400, threads=8,
-                                      chunk_size=512)
-        assert report.chosen == "sfa"
-        assert report.overhead >= 1.0
-        assert report.mapping_latency < report.sequential_work
-
-    def test_single_thread_stays_sequential(self):
-        """On one thread the mapping scan is pure overhead (κ ≥ 1 with
-        no parallelism to pay for it)."""
-        from repro.pipeline.autotune import choose_scan_strategy
-
-        compiled = compile_ruleset(["a.*b"], CompileOptions(emit_anml=False))
-        report = choose_scan_strategy(compiled.mfsas[0], b"aqqqb" * 600,
-                                      threads=1, chunk_size=512)
-        assert report.chosen == "sequential"
-        assert report.mapping_latency >= report.sequential_work
-
-    def test_render_names_selection(self):
-        from repro.pipeline.autotune import choose_scan_strategy
-
-        compiled = compile_ruleset(["ab"], CompileOptions(emit_anml=False))
-        report = choose_scan_strategy(compiled.mfsas[0], b"abab" * 100)
-        text = report.render()
-        assert "selected" in text and ("sfa" in text or "sequential" in text)
-
-
 class TestChooseBackend:
     """Measured backend selection over the ladder."""
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import compile_main, match_main, report_main, viz_main
+from repro.cli import compile_main, match_main, report_main, serve_main, viz_main
 
 
 @pytest.fixture
@@ -86,6 +86,15 @@ class TestMatchMain:
             with pytest.raises(SystemExit) as info:
                 match_main(base + extra)
             assert info.value.code == 2, extra
+
+
+class TestServeMain:
+    def test_scan_plan_flag_removed(self, tmp_path):
+        """The compiled automaton picks the scan plan; no flag overrides it."""
+        with pytest.raises(SystemExit) as info:
+            serve_main(["--builtin", "tokens_exact", "--artifact-dir", str(tmp_path),
+                        "--scan-strategy", "sfa"])
+        assert info.value.code == 2
 
 
 class TestVizMain:

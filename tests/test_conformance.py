@@ -28,7 +28,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import _demo_stream
 from repro.datasets import list_builtin, load_builtin
-from repro.engine.chunkscan import ruleset_max_width
+from repro.engine.chunkscan import resolve_strategy
 from repro.engine.counters import ExecutionStats
 from repro.engine.imfant import IMfantEngine
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
@@ -220,7 +220,7 @@ def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
     from repro.serve.shards import ShardPool
 
     patterns, mfsas = compiled_builtins["tokens_exact"]
-    assert ruleset_max_width(patterns) is not None  # bounded → really shards
+    assert resolve_strategy(mfsas) == ("overlap", 29)  # bounded → really shards
     payload = _demo_stream(patterns, STREAM_BYTES)
     # Plant a boundary-spanning occurrence dead on every possible cut.
     token = b"MAIL FROM:<"
@@ -243,22 +243,16 @@ def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
 
 @pytest.mark.serve
 @pytest.mark.sfa
-@pytest.mark.parametrize("name,strategy", [
-    ("dotstar_rules", "auto"),   # unbounded → auto resolves to mapping scans
-    ("tokens_exact", "sfa"),     # bounded but forced onto the mapping path
-])
+@pytest.mark.parametrize("name", ["dotstar_rules", "http_signatures"])
 @pytest.mark.parametrize("num_shards", [2, 4])
-def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, strategy,
-                                           num_shards):
+def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, num_shards):
     """Mapping-mode sharding (zero overlap bytes) must stay byte-identical
-    to the single-shot oracle — including on unbounded rulesets, where
-    the overlap planner previously fell back to a sequential scan."""
+    to the single-shot oracle on unbounded rulesets, where the overlap
+    planner has no finite lead."""
     from repro.serve.artifacts import Artifact, ruleset_key
     from repro.serve.shards import ShardPool
 
     patterns, mfsas = compiled_builtins[name]
-    if name == "dotstar_rules":
-        assert ruleset_max_width(patterns) is None  # genuinely unbounded
     payload = _demo_stream(patterns, STREAM_BYTES)
 
     artifact = Artifact(
@@ -267,9 +261,8 @@ def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, strategy,
         mfsas=list(mfsas),
         loaded_from_cache=False,
     )
-    with ShardPool(artifact, num_shards=num_shards,
-                   scan_strategy=strategy) as pool:
-        assert pool.scan_strategy == "sfa"
+    with ShardPool(artifact, num_shards=num_shards) as pool:
+        assert (pool.strategy, pool.overlap) == ("sfa", None)
         result = pool.scan(payload)
     assert result.shards == num_shards
     assert result.strategy == "sfa"
@@ -280,8 +273,7 @@ def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, strategy,
         key=ruleset_key(patterns), patterns=list(patterns),
         mfsas=list(mfsas), loaded_from_cache=False,
     )
-    with ShardPool(single, num_shards=num_shards,
-                   scan_strategy=strategy) as pool:
+    with ShardPool(single, num_shards=num_shards) as pool:
         first = pool.scan(payload, single_match=True)
     expected = {}
     for rule, end in result.matches:

@@ -128,13 +128,9 @@ def test_cut_point_invariance(patterns, text, chunk_size, threads):
         sequential = IMfantEngine(mfsa, backend="counting").run(
             text, collect_stats=False
         ).matches
-        # the overlap strategy requires chunk_size > match width; keep
-        # the drawn size but floor it at the automaton's own bound
-        width = mfsa_max_width(mfsa)
-        size = chunk_size if width is None else max(chunk_size, width + 1)
         chunked = chunk_scan(
             mfsa, text, backend="counting",
-            chunk_size=size, num_threads=threads,
+            chunk_size=chunk_size, num_threads=threads,
         )
         assert chunked == sequential
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.engine.chunkscan import chunk_scan, ruleset_max_width
+from repro.engine.chunkscan import chunk_scan
 from repro.engine.imfant import IMfantEngine
 from repro.engine.lazy import LazyConfigCache
 from repro.engine.tables import MfsaTables
@@ -177,10 +177,8 @@ class TestPlumbing:
         mfsa = build(patterns)
         data = "abcadxbcabcd" * 200
         expected = IMfantEngine(mfsa).run(data).matches
-        got = chunk_scan(mfsa, data, strategy="overlap",
-                         overlap=ruleset_max_width(patterns),
-                         chunk_size=256, num_threads=4, backend="lazy",
-                         lazy_cache_size=64)
+        got = chunk_scan(mfsa, data, chunk_size=256, num_threads=4,
+                         backend="lazy", lazy_cache_size=64)
         assert got == expected
 
     def test_hybrid_lazy(self):

@@ -123,18 +123,10 @@ class TestRunParallel:
         assert parallel == sequential
 
     def test_auto_resolves_per_mfsa(self):
-        # bounded-only ruleset: auto keeps overlap chunking
-        (mfsa,) = compile_mixed(["abc", "defg"])
-        assert resolve_strategy(mfsa, "auto") == "overlap"
+        # bounded-only ruleset: overlap chunking
+        assert resolve_strategy(compile_mixed(["abc", "defg"])) == ("overlap", 4)
         # an unbounded rule flips it to mapping scans
-        (mfsa,) = compile_mixed(["abc", "a.*b"])
-        assert resolve_strategy(mfsa, "auto") == "sfa"
-
-    def test_forced_strategy_forwarded(self):
-        patterns = ["abc", "defg"]
-        data = b"zabcdefgz" * 40
-        (mfsa,) = compile_mixed(patterns)
-        assert chunk_scan(mfsa, data, chunk_size=64, strategy="sfa") == run(patterns, data)
+        assert resolve_strategy(compile_mixed(["abc", "a.*b"])) == ("sfa", None)
 
 
 @given(st.data())

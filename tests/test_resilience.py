@@ -213,17 +213,22 @@ def test_supervisor_storm_opens_breaker_and_cooldown_closes_it():
 # ---------------------------------------------------------------------------
 
 
-def test_watchdog_kills_hung_worker_and_rescues_exactly(artifact):
+def test_watchdog_kills_hung_worker_and_rescues_exactly(tmp_path):
     """A process worker wedged past 2× the scan deadline is hard-killed
     and its chunk re-scanned inline — the answer stays exact (the SFA
     mapping recomputes identically on the dispatcher), well before the
     injected 30s hang would have returned."""
+    # an unbounded rule puts the pool on SFA mappings
+    artifact = ArtifactStore(tmp_path).get_or_compile(
+        PATTERNS + ["ne+dle.*happy"], CompileOptions(emit_anml=False)
+    )
     oracle = _oracle(artifact, PAYLOAD)
+    assert any(rule == len(PATTERNS) for rule, _ in oracle)
     deadline = 0.3
     with faultinject.inject("serve.worker.hang", 30.0):
         with obs.capture() as cap:
-            with ShardPool(artifact, num_shards=2, mode="process",
-                           scan_strategy="sfa") as pool:
+            with ShardPool(artifact, num_shards=2, mode="process") as pool:
+                assert pool.strategy == "sfa"
                 started = time.perf_counter()
                 result = pool.scan(PAYLOAD, deadline=deadline)
                 elapsed = time.perf_counter() - started

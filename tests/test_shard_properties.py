@@ -1,6 +1,6 @@
 """Property tests for sharded scanning: any split equals a single pass.
 
-The shard planner (:func:`repro.serve.shards.plan_shards`) picks
+The shard planner (:func:`repro.engine.chunkscan.plan_shards`) picks
 near-equal boundaries, but correctness must not depend on *where* the
 cuts fall — a match of width ≤ overlap that straddles any boundary lies
 entirely inside the next shard's lead.  So beyond the planner's own
@@ -18,9 +18,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.chunkscan import ruleset_max_width
+from repro.engine.chunkscan import mfsa_max_width
 from repro.engine.imfant import IMfantEngine
 from repro.mfsa.merge import merge_fsas
+from repro.mfsa.model import empty_matching_rules
 from repro.serve.artifacts import Artifact, ruleset_key
 from repro.serve.shards import ShardJob, ShardPool, plan_shards, rebase_matches
 
@@ -33,9 +34,8 @@ def _single_pass(mfsa, text: str) -> set[tuple[int, int]]:
 
 def _complete_empty_rules(mfsa, matches: set, payload_len: int) -> set:
     """ε-accepting rules match at every offset; shards only see their own."""
-    for rule, q0 in mfsa.initials.items():
-        if q0 in mfsa.finals[rule]:
-            matches |= {(rule, end) for end in range(payload_len + 1)}
+    for rule in empty_matching_rules(mfsa):
+        matches |= {(rule, end) for end in range(payload_len + 1)}
     return matches
 
 
@@ -67,19 +67,21 @@ def _scan_jobs(mfsa, payload: str, jobs: list[ShardJob]) -> set[tuple[int, int]]
 @given(
     payload_len=st.integers(min_value=0, max_value=10_000),
     num_shards=st.integers(min_value=1, max_value=64),
-    overlap=st.integers(min_value=0, max_value=200),
+    overlap=st.none() | st.integers(min_value=0, max_value=200),
 )
 @settings(max_examples=200, deadline=None)
 def test_plan_shards_invariants(payload_len, num_shards, overlap):
     jobs = plan_shards(payload_len, num_shards, overlap)
     assert 1 <= len(jobs) <= num_shards
+    if overlap is None:
+        assert len(jobs) == 1  # no finite lead: one sequential job
     # contiguous exact cover of [0, payload_len)
     assert jobs[0].start == 0
     assert jobs[-1].stop == payload_len
     for left, right in zip(jobs, jobs[1:]):
         assert left.stop == right.start
     for job in jobs:
-        assert job.lead == min(overlap, job.start)
+        assert job.lead == min(overlap or 0, job.start)
         assert job.segment_slice.start == job.start - job.lead >= 0
         if payload_len > 0 and len(jobs) > 1:
             # every shard advances past its own lead
@@ -99,7 +101,7 @@ def test_arbitrary_cuts_equal_single_pass(data):
     mfsa = merge_fsas(compile_ruleset_fsas(patterns))
     oracle = _single_pass(mfsa, text)
 
-    overlap = ruleset_max_width(patterns)
+    overlap = mfsa_max_width(mfsa)
     if overlap is None:
         # unbounded width: no finite overlap is sound — the only correct
         # "sharding" is a single job, which is trivially the oracle.
@@ -126,11 +128,7 @@ def test_planner_cuts_equal_single_pass(data):
     mfsa = merge_fsas(compile_ruleset_fsas(patterns))
     oracle = _single_pass(mfsa, text)
 
-    overlap = ruleset_max_width(patterns)
-    if overlap is None:
-        jobs = [ShardJob(0, 0, len(text))]
-    else:
-        jobs = plan_shards(len(text), num_shards, overlap)
+    jobs = plan_shards(len(text), num_shards, mfsa_max_width(mfsa))
     assert _scan_jobs(mfsa, text, jobs) == oracle
 
 
