@@ -32,10 +32,11 @@ examples:
 obs-smoke:
 	PYTHONPATH=src pytest tests/ -m obs -q
 
-# Resource-governance smoke: the guard/fault-injection suites, then an
-# adversarial CLI drill — a state-explosion rule under --on-error
-# quarantine must isolate the offender and exit 3 (partial), within a
-# hard timeout (a governed compile may fail, never hang).
+# Resource-governance smoke: the guard/fault-injection suites, then two
+# CLI drills — a state-explosion rule under --on-error quarantine must
+# isolate the offender and exit 3 (partial), within a hard timeout (a
+# governed compile may fail, never hang); and an out-of-range number
+# (`match -t 0`) must be a usage error, exit 2, not a traceback.
 guard-smoke:
 	PYTHONPATH=src pytest tests/ -m guard -q
 	@printf 'abc\nx{5000}\nabd\n' > /tmp/guard-smoke-rules.txt
@@ -43,7 +44,14 @@ guard-smoke:
 	    /tmp/guard-smoke-rules.txt -o /tmp/guard-smoke-out \
 	    --budget-loop-copies 256 --on-error quarantine; \
 	  test $$? -eq 3 && echo "guard-smoke: quarantine exit code OK"'
-	@rm -rf /tmp/guard-smoke-rules.txt /tmp/guard-smoke-out
+	@printf 'zzabczz' > /tmp/guard-smoke-stream.bin
+	@sh -c 'PYTHONPATH=src timeout 60 python -m repro match \
+	    /tmp/guard-smoke-stream.bin --ruleset /tmp/guard-smoke-rules.txt \
+	    -t 0 2>/tmp/guard-smoke-err.txt; \
+	  test $$? -eq 2 && ! grep -q Traceback /tmp/guard-smoke-err.txt && \
+	  echo "guard-smoke: usage-error exit code OK"'
+	@rm -rf /tmp/guard-smoke-rules.txt /tmp/guard-smoke-out \
+	    /tmp/guard-smoke-stream.bin /tmp/guard-smoke-err.txt
 
 # Serving smoke: the serve-marked suite (protocol, artifact cache,
 # shard pool, backpressure, fault drills, socket round trips), then an

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.automata.fsa import Fsa, Transition
+from repro.guard.budget import CHECK_STRIDE
 
 
 def epsilon_closure(fsa: Fsa, seeds: Iterable[int]) -> set[int]:
@@ -42,7 +43,8 @@ def remove_epsilon(fsa: Fsa, *, meter=None, rule=None) -> Fsa:
 
     ``meter`` is an optional :class:`~repro.guard.budget.BudgetMeter`:
     the closure product can square the arc count, so each emitted arc is
-    charged and the deadline is checked every ``check_stride`` arcs.
+    charged and the deadline is checked every
+    :data:`~repro.guard.budget.CHECK_STRIDE` arcs.
     """
     if not fsa.has_epsilon():
         return fsa.trimmed()
@@ -57,7 +59,6 @@ def remove_epsilon(fsa: Fsa, *, meter=None, rule=None) -> Fsa:
 
     closures = _all_closures(fsa.num_states, eps_adj)
 
-    stride = meter.budget.check_stride if meter is not None else 0
     emitted = 0
     out = Fsa(num_states=fsa.num_states, initial=fsa.initial, pattern=fsa.pattern)
     seen_arcs: set[tuple[int, int, int]] = set()
@@ -71,7 +72,7 @@ def remove_epsilon(fsa: Fsa, *, meter=None, rule=None) -> Fsa:
                     if meter is not None:
                         emitted += 1
                         meter.charge_transitions(1, stage="single_opt", rule=rule)
-                        if emitted % stride == 0:
+                        if emitted % CHECK_STRIDE == 0:
                             meter.check_deadline(stage="single_opt", rule=rule)
         if closures[q] & fsa.finals:
             out.finals.add(q)

@@ -44,9 +44,9 @@ from repro.anml.reader import read_anml
 from repro.counting import DEFAULT_MIN_COUNT_BOUND
 from repro.engine.dense import DEFAULT_PROMOTE_AFTER
 from repro.engine.imfant import IMfantEngine
-from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.engine.multithread import run_pool
 from repro.guard.budget import Budget
+from repro.guard.degrade import GuardedMatcher
 from repro.guard.errors import (
     EXIT_PARTIAL,
     ReproError,
@@ -83,6 +83,14 @@ def _guarded(func):
             return exit_code_for(error)
 
     return wrapper
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (threads, strides)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
+    return value
 
 
 def _read_patterns(path: Path) -> list[str]:
@@ -123,21 +131,6 @@ def _add_guard_flags(parser: argparse.ArgumentParser, degrade: bool = False) -> 
                            help="auto: step the backend ladder dense->lazy->"
                                 "python on allocation failure / cache "
                                 "thrash / failed dense promotion")
-
-
-def _add_dense_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("dense backend")
-    group.add_argument("--dense-promote-after", type=int, default=None, metavar="BYTES",
-                       help="lazy bytes scanned before compiled-table promotion "
-                            "(default: %d)" % DEFAULT_PROMOTE_AFTER)
-
-
-def _dense_kwargs(args: argparse.Namespace) -> dict:
-    """Engine kwargs from the dense flags (empty off the dense backend,
-    so non-dense engines never see unexpected knobs)."""
-    if getattr(args, "backend", None) != "dense" or args.dense_promote_after is None:
-        return {}
-    return {"dense_promote_after": args.dense_promote_after}
 
 
 def _add_counting_flags(parser: argparse.ArgumentParser) -> None:
@@ -194,7 +187,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                        help="write a Chrome trace-event JSON of the run's spans")
     group.add_argument("--metrics-out", type=Path, default=None, metavar="FILE",
                        help="write the run's metrics in Prometheus text format")
-    group.add_argument("--obs-stride", type=int, default=None, metavar="N",
+    group.add_argument("--obs-stride", type=_positive_int, default=None, metavar="N",
                        help="engine sampling stride (default: %d)" % obs.DEFAULT_SAMPLE_STRIDE)
 
 
@@ -289,15 +282,11 @@ def match_main(argv: list[str] | None = None) -> int:
     source.add_argument("--ruleset", type=Path, help="compile this ruleset on the fly")
     parser.add_argument("-m", "--merging-factor", type=int, default=0,
                         help="merging factor when compiling on the fly")
-    parser.add_argument("-t", "--threads", type=int, default=1,
+    parser.add_argument("-t", "--threads", type=_positive_int, default=1,
                         help="thread-pool size for multi-MFSA execution")
     parser.add_argument("--backend",
                         choices=("python", "lazy", "dense", "counting"),
                         default="python")
-    parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
-                        help="lazy-backend transition-cache budget in entries "
-                             "(default: %d)" % DEFAULT_CACHE_SIZE)
-    _add_dense_flags(parser)
     _add_counting_flags(parser)
     parser.add_argument("--single-match", action="store_true",
                         help="report each rule's first match only (early exit)")
@@ -335,39 +324,23 @@ def match_main(argv: list[str] | None = None) -> int:
             data = args.stream.read_bytes()
         except OSError as exc:
             raise UsageError(f"cannot read stream {args.stream}: {exc}") from exc
-        degradations: list = []
         started = time.perf_counter()
-        if args.degrade == "auto" or quarantine is not None:
-            from repro.guard.degrade import DegradePolicy, GuardedMatcher
-
-            # with --degrade off, the guarded matcher is only here for
-            # quarantine remapping/fallback — freeze the ladder
-            policy = None if args.degrade == "auto" else DegradePolicy(
-                on_alloc_failure=False, on_cache_thrash=False)
-            matcher = GuardedMatcher(
-                mfsas,
-                rule_map=rule_map,
-                quarantine=quarantine,
-                backend=args.backend,
-                policy=policy,
-                scan_deadline=args.deadline,
-                threads=args.threads,
-                single_match=args.single_match,
-                lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-                **_dense_kwargs(args),
-            )
-            run = matcher.run(data)
-            matches, stats = run.matches, run.stats
-            degradations = run.degradations
-            engines = matcher._ensure_engines()
-        else:
-            engines = [
-                IMfantEngine(mfsa, backend=args.backend, single_match=args.single_match,
-                             lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-                             scan_deadline=args.deadline, **_dense_kwargs(args))
-                for mfsa in mfsas
-            ]
-            matches, stats = run_pool([lambda e=e: e.run(data) for e in engines], args.threads)
+        # --degrade off freezes the ladder; the matcher still does the
+        # quarantine remapping/fallback
+        matcher = GuardedMatcher(
+            mfsas,
+            rule_map=rule_map,
+            quarantine=quarantine,
+            backend=args.backend,
+            degrade=args.degrade == "auto",
+            scan_deadline=args.deadline,
+            threads=args.threads,
+            single_match=args.single_match,
+        )
+        run = matcher.run(data)
+        matches, stats = run.matches, run.stats
+        degradations = run.degradations
+        engines = matcher._ensure_engines()
         elapsed = time.perf_counter() - started
 
     print(f"matched {len(data)} bytes against {len(mfsas)} MFSA(s) "
@@ -384,8 +357,7 @@ def match_main(argv: list[str] | None = None) -> int:
     if args.backend == "dense" and not degradations:
         promoted = sum(1 for e in engines if getattr(e, "dense_tier", None) is not None)
         print(f"dense tier: {promoted}/{len(engines)} engine(s) promoted "
-              f"(promotion threshold {args.dense_promote_after or DEFAULT_PROMOTE_AFTER} "
-              f"lazy bytes)")
+              f"(promotion threshold {DEFAULT_PROMOTE_AFTER} lazy bytes)")
     for rule, end in sorted(matches)[: args.show_matches]:
         print(f"  rule {rule} matched ending at offset {end}")
     _export_obs(args, cap)
@@ -673,16 +645,12 @@ def obs_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--stream-size", type=int, default=65536, metavar="BYTES",
                         help="generated stream size (default 64 KiB)")
     parser.add_argument("-m", "--merging-factor", type=int, default=0)
-    parser.add_argument("-t", "--threads", type=int, default=1)
+    parser.add_argument("-t", "--threads", type=_positive_int, default=1)
     parser.add_argument("--backend",
                         choices=("python", "lazy", "dense", "counting"),
                         default="python")
-    parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
-                        help="lazy-backend transition-cache budget in entries "
-                             "(default: %d)" % DEFAULT_CACHE_SIZE)
-    _add_dense_flags(parser)
     _add_counting_flags(parser)
-    parser.add_argument("--stride", type=int, default=None, metavar="N",
+    parser.add_argument("--stride", type=_positive_int, default=None, metavar="N",
                         help="engine sampling stride (default: %d)" % obs.DEFAULT_SAMPLE_STRIDE)
     parser.add_argument("--trace-out", type=Path, default=None, metavar="FILE",
                         help="write the Chrome trace-event JSON here")
@@ -716,9 +684,7 @@ def obs_main(argv: list[str] | None = None) -> int:
         result = compilation.result
         assert result is not None
         engines = [
-            IMfantEngine(m, backend=args.backend,
-                         lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
-                         scan_deadline=args.deadline, **_dense_kwargs(args))
+            IMfantEngine(m, backend=args.backend, scan_deadline=args.deadline)
             for m in result.mfsas
         ]
         matches, stats = run_pool([lambda e=e: e.run(data) for e in engines], args.threads)
@@ -885,9 +851,6 @@ def _serve_run_main(argv: list[str]) -> int:
                         choices=("dense", "lazy", "python", "counting"),
                         default="lazy")
     _add_counting_flags(parser)
-    parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
-                        help="lazy-backend transition-cache budget in entries "
-                             "(default: %d)" % DEFAULT_CACHE_SIZE)
     parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                         help="default per-request wall-clock deadline "
                              "(requests may override via deadline_ms)")
@@ -951,7 +914,6 @@ def _serve_run_main(argv: list[str]) -> int:
             backend=args.backend,
             mode=args.mode,
             default_deadline=args.deadline,
-            lazy_cache_size=args.lazy_cache_size or DEFAULT_CACHE_SIZE,
             allow_shutdown=not args.no_shutdown_op,
             allow_reload=not args.no_reload_op,
             admission_target=args.admission_target,

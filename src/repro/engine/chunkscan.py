@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.engine.imfant import IMfantEngine
-from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.engine.multithread import map_pool
 from repro.engine.sfa import SfaScanner, fold_mappings
 from repro.guard.errors import UsageError
@@ -188,7 +187,6 @@ def chunk_scan(
     chunk_size: int = 4096,
     num_threads: int = 4,
     backend: str = "python",
-    lazy_cache_size: int = DEFAULT_CACHE_SIZE,
     scan_deadline: Optional[float] = None,
 ) -> set[tuple[int, int]]:
     """Scan ``data`` in parallel chunks; returns the single-shot matches.
@@ -207,7 +205,7 @@ def chunk_scan(
     mutable state, so sharing one would either race or need a lock on
     the hot path.  The per-chunk caches share the engine's immutable tables (via
     :meth:`IMfantEngine.fork`) and their cold-start misses amortise over
-    the chunk length; ``lazy_cache_size`` bounds each worker's cache.
+    the chunk length.
     """
     payload = data.encode("latin-1") if isinstance(data, str) else data
     if chunk_size < 1:
@@ -231,9 +229,7 @@ def chunk_scan(
             mappings, [job.stop - job.start for job in jobs], scanner
         )
     else:
-        engine = IMfantEngine(
-            mfsa, backend=backend, lazy_cache_size=lazy_cache_size, scan_deadline=scan_deadline
-        )
+        engine = IMfantEngine(mfsa, backend=backend, scan_deadline=scan_deadline)
         if len(jobs) == 1:
             return engine.run(payload, collect_stats=False).matches
         # each worker gets private mutable state (its own lazy cache);

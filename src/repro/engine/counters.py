@@ -14,6 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Scan positions between scan-deadline checks, shared by every scanner
+#: (python/lazy/counting loops, the dense tier, SFA mapping scans).  Each
+#: scan reads it once at its start, so tests that need frequent checks
+#: patch this one attribute.
+DEADLINE_STRIDE = 4096
+
 
 @dataclass
 class ExecutionStats:

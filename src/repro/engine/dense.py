@@ -49,6 +49,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.engine import counters
 from repro.engine.lazy import LazyConfigCache
 from repro.engine.tables import ByteClasses, byte_classes
 from repro.guard import faultinject
@@ -65,8 +66,8 @@ __all__ = [
 #: Sentinel for transitions leaving the compiled region (de-opt edges).
 DEOPT = -1
 
-#: Bytes a ``backend="dense"`` engine scans lazily before auto-promoting
-#: (0 = promote eagerly after the first run).
+#: Bytes a ``backend="dense"`` engine scans lazily before auto-promoting,
+#: and the floor of its de-opt rebuild threshold.
 DEFAULT_PROMOTE_AFTER = 1 << 16
 
 #: Auto-promotion gate: the cache must be this warm (and eviction-free).
@@ -299,7 +300,6 @@ class DenseTier:
         matched_rules: int = 0,
         all_rules_mask: int = 0,
         deadline_at: Optional[float] = None,
-        deadline_stride: int = 4096,
     ) -> DenseScanOutcome:
         """Bulk-scan ``payload`` from ``start_config``.
 
@@ -310,9 +310,12 @@ class DenseTier:
         active-pair/peak per position); with ``sampler`` the strided
         engine-sampler observations are reproduced exactly.  Deadline
         expiry *returns* (reason ``"deadline"``) rather than raising —
-        only the caller can build the honest partial result.
+        only the caller can build the honest partial result.  The clock
+        is read every :data:`~repro.engine.counters.DEADLINE_STRIDE`
+        positions.
         """
         n = len(payload)
+        dstride = counters.DEADLINE_STRIDE
         out = DenseScanOutcome(matched_rules=matched_rules)
         events = out.events
         cls_b = payload.translate(self.classes.translate)
@@ -364,7 +367,7 @@ class DenseTier:
             events.append((eid, lo, hi))
 
         while pos < n:
-            if deadline_at is not None and since_check >= deadline_stride:
+            if deadline_at is not None and since_check >= dstride:
                 since_check = 0
                 if deadline_hit():
                     out.reason = "deadline"
@@ -378,8 +381,7 @@ class DenseTier:
                 cur, pos, done = self._lazy_phase(
                     payload, cls_b, pos, cur, out, add_event,
                     collect_stats, stats, sampler, stride,
-                    single_match, all_rules_mask,
-                    deadline_at, deadline_stride,
+                    single_match, all_rules_mask, deadline_at,
                 )
                 since_check += 1
                 if done:
@@ -431,7 +433,7 @@ class DenseTier:
                 p0 = pos
                 limit = n
                 if deadline_at is not None:
-                    limit = min(n, pos + max(1, deadline_stride - since_check))
+                    limit = min(n, pos + max(1, dstride - since_check))
                 row = ref_rows[cur]
                 while pos < limit:
                     nxt = row[cls_b[pos]]
@@ -454,8 +456,7 @@ class DenseTier:
                     cur, pos, done = self._lazy_phase(
                         payload, cls_b, pos, cur, out, add_event,
                         collect_stats, stats, sampler, stride,
-                        single_match, all_rules_mask,
-                        deadline_at, deadline_stride,
+                        single_match, all_rules_mask, deadline_at,
                     )
                     since_check += 1
                     if done:
@@ -510,7 +511,7 @@ class DenseTier:
                     if sampler is not None and pos % stride == 0:
                         sampler.observe(total, width, self.examined_list[k])
                 since_check += 1
-                if deadline_at is not None and since_check >= deadline_stride:
+                if deadline_at is not None and since_check >= dstride:
                     since_check = 0
                     if deadline_hit():
                         out.stepped_bytes += pos - stepped0
@@ -526,8 +527,7 @@ class DenseTier:
                 cur, pos, done = self._lazy_phase(
                     payload, cls_b, pos, cur, out, add_event,
                     collect_stats, stats, sampler, stride,
-                    single_match, all_rules_mask,
-                    deadline_at, deadline_stride,
+                    single_match, all_rules_mask, deadline_at,
                 )
                 if done:
                     break
@@ -665,7 +665,6 @@ class DenseTier:
         single_match: bool,
         all_rules_mask: int,
         deadline_at: Optional[float],
-        deadline_stride: int,
     ) -> tuple[int, int, bool]:
         """Interpret lazily from index ``pos`` until the frontier is a
         compiled config again (or the payload ends).  Memoizes through
@@ -681,6 +680,7 @@ class DenseTier:
         flush_epoch = self.flush_epoch
         num_configs = self.num_configs
         n = len(payload)
+        dstride = counters.DEADLINE_STRIDE
         start = pos
         since_check = 0
         while pos < n:
@@ -717,7 +717,7 @@ class DenseTier:
                 total, _, width = cstats[cur]
                 sampler.observe(total, width, examined_by_byte[byte])
             since_check += 1
-            if deadline_at is not None and since_check >= deadline_stride:
+            if deadline_at is not None and since_check >= dstride:
                 since_check = 0
                 faultinject.fire("engine.step_delay")
                 if time.perf_counter() > deadline_at:

@@ -45,14 +45,15 @@ import time
 
 import repro.obs as obs
 from repro.counting.mfsa import CountingMfsa
-from repro.engine.counters import ExecutionStats, RunResult
+from repro.engine import counters
+from repro.engine.counters import RunResult
 from repro.engine.counting import RegisterFile, RegisterSpec, build_register_specs
 from repro.engine.dense import (
     DEFAULT_PROMOTE_AFTER,
     DENSE_MIN_HIT_RATE,
     DenseTier,
 )
-from repro.engine.lazy import DEFAULT_CACHE_SIZE, LazyConfigCache
+from repro.engine.lazy import LazyConfigCache
 from repro.engine.tables import MfsaTables, limbs_for
 from repro.guard import faultinject
 from repro.guard.budget import Budget, BudgetMeter, MemoryBudgetExceeded
@@ -68,10 +69,6 @@ from repro.mfsa.model import Mfsa
 #: Every backend the engine runs (the guard ladder's rungs plus counting).
 BACKENDS = ("python", "lazy", "dense", "counting")
 
-#: Scan positions between deadline checks (one modulo per byte; the
-#: perf_counter read happens only every stride-th position).
-DEFAULT_DEADLINE_STRIDE = 4096
-
 
 class IMfantEngine:
     """Streaming matcher for one MFSA.
@@ -82,31 +79,38 @@ class IMfantEngine:
     fired (``stats.chars_processed`` reports the bytes actually
     consumed) — the cheap mode IDS rules that only need a verdict use.
 
-    ``backend="lazy"`` memoizes frontier transitions in a bounded
-    :class:`~repro.engine.lazy.LazyConfigCache` owned by the engine; the
-    cache stays warm across :meth:`run` calls.  ``lazy_cache_size``
-    sets its budget in entries (a full cache flushes, see
-    :mod:`repro.engine.lazy`); the other backends ignore it.
+    The engine owns its tuning: the cache bound, the deadline-check
+    stride and the promotion threshold are module constants, so the
+    constructor takes only what varies between callers.  ``scan_deadline``
+    bounds each :meth:`run` in wall-clock seconds (checked every
+    :data:`~repro.engine.counters.DEADLINE_STRIDE` positions); ``budget``
+    is a :class:`~repro.guard.budget.Budget` that only the dense and
+    counting backends charge (table memory and registers respectively).
+
+    ``backend="lazy"`` memoizes frontier transitions in a
+    :class:`~repro.engine.lazy.LazyConfigCache` owned by the engine,
+    bounded at :data:`~repro.engine.lazy.DEFAULT_CACHE_SIZE` entries (a
+    full cache flushes, see :mod:`repro.engine.lazy`); the cache stays
+    warm across :meth:`run` calls.
 
     ``backend="dense"`` starts out as the lazy backend and
-    auto-promotes: once ``dense_promote_after`` bytes have been scanned
-    lazily (0 = after the first non-empty run) *and* the last run's
-    cache hit rate cleared :data:`~repro.engine.dense.DENSE_MIN_HIT_RATE`,
-    the config graph is compiled into a
-    :class:`~repro.engine.dense.DenseTier` and subsequent runs scan in
-    bulk (call :meth:`promote_dense` with ``force=True`` to skip the
-    gates).  ``dense_budget`` charges table builds against modelled
-    memory; a build that exceeds it (or fails allocation) quietly
-    disables promotion (``dense_disabled`` turns true) — the engine
-    keeps serving exact results lazily, which is also how the
-    :data:`~repro.guard.degrade.BACKEND_LADDER` treats the tier.
+    auto-promotes: once :data:`~repro.engine.dense.DEFAULT_PROMOTE_AFTER`
+    bytes have been scanned lazily *and* the last run's cache hit rate
+    cleared :data:`~repro.engine.dense.DENSE_MIN_HIT_RATE`, the config
+    graph is compiled into a :class:`~repro.engine.dense.DenseTier` and
+    subsequent runs scan in bulk (call :meth:`promote_dense` with
+    ``force=True`` to skip the gates).  ``budget`` charges table builds
+    against modelled memory; a build that exceeds it (or fails
+    allocation) quietly disables promotion (``dense_disabled`` turns
+    true) — the engine keeps serving exact results lazily, which is also
+    how the :data:`~repro.guard.degrade.BACKEND_LADDER` treats the tier.
 
     ``backend="counting"`` accepts a
     :class:`~repro.counting.mfsa.CountingMfsa` and runs its counting
     arcs through counter registers (:mod:`repro.engine.counting`)
-    alongside the ordinary python step over the plain arcs.
-    ``counting_budget`` charges one ``counting.registers`` allocation
-    per register at engine construction; exceeding it raises
+    alongside the ordinary python step over the plain arcs.  ``budget``
+    charges one ``counting.registers`` allocation per register at
+    engine construction; exceeding it raises
     :class:`~repro.guard.errors.AllocationFailed` with that stage, the
     signal the guard ladder demotes on.  A ``CountingMfsa`` handed to
     any *other* backend is first expanded (:meth:`CountingMfsa.expand`)
@@ -123,32 +127,18 @@ class IMfantEngine:
         backend: str = "python",
         pop_on_final: bool = False,
         single_match: bool = False,
-        lazy_cache_size: int = DEFAULT_CACHE_SIZE,
         scan_deadline: float | None = None,
-        deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
-        dense_promote_after: int = DEFAULT_PROMOTE_AFTER,
-        dense_budget: "Budget | None" = None,
-        counting_budget: "Budget | None" = None,
+        budget: "Budget | None" = None,
     ) -> None:
         if backend not in BACKENDS:
             raise UsageError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         if scan_deadline is not None and scan_deadline <= 0:
             raise UsageError(f"scan_deadline must be positive (got {scan_deadline})")
-        if deadline_stride < 1:
-            raise UsageError(f"deadline_stride must be >= 1 (got {deadline_stride})")
-        if dense_promote_after < 0:
-            raise UsageError(
-                f"dense_promote_after must be >= 0 (got {dense_promote_after})"
-            )
         self.backend = backend
         self.pop_on_final = pop_on_final
         self.single_match = single_match
-        self.lazy_cache_size = lazy_cache_size
         self.scan_deadline = scan_deadline
-        self.deadline_stride = deadline_stride
-        self.dense_promote_after = dense_promote_after
-        self.dense_budget = dense_budget
-        self.counting_budget = counting_budget
+        self.budget = budget
         if isinstance(mfsa, CountingMfsa):
             if backend == "counting":
                 if pop_on_final and mfsa.counting:
@@ -182,9 +172,7 @@ class IMfantEngine:
             faultinject.fire("alloc", backend=backend)
             if backend in ("lazy", "dense"):
                 self.lazy_cache = LazyConfigCache(
-                    self.tables,
-                    pop_on_final=self.pop_on_final,
-                    max_entries=self.lazy_cache_size,
+                    self.tables, pop_on_final=self.pop_on_final
                 )
             elif backend == "counting":
                 self._register_specs = self._alloc_registers()
@@ -201,8 +189,8 @@ class IMfantEngine:
 
     def _alloc_registers(self) -> tuple[RegisterSpec, ...]:
         """Compile the counting arcs into register specs, charging each
-        against ``counting_budget`` (and the ``counting.register_
-        pressure`` fault point).  Failures surface as
+        against ``budget`` (and the ``counting.register_pressure`` fault
+        point).  Failures surface as
         :class:`AllocationFailed` with stage ``counting.registers`` —
         the typed signal :class:`~repro.guard.degrade.GuardedMatcher`
         demotes counting → lazy on."""
@@ -214,10 +202,8 @@ class IMfantEngine:
                 faultinject.fire(
                     "counting.register_pressure", registers=len(specs)
                 )
-                if self.counting_budget is not None:
-                    self.counting_budget.start().charge_counting_registers(
-                        len(specs)
-                    )
+                if self.budget is not None:
+                    self.budget.start().charge_counting_registers(len(specs))
             except (MemoryError, CountingBudgetExceeded) as exc:
                 raise AllocationFailed(
                     f"counting-register allocation failed: {exc}",
@@ -328,7 +314,7 @@ class IMfantEngine:
         consumed = 0
         sampler = obs.engine_sampler("imfant")
         stride = sampler.stride if sampler is not None else 0
-        dstride = self.deadline_stride
+        dstride = counters.DEADLINE_STRIDE
         started = time.perf_counter()
         deadline_at = self._deadline_at(started)
         active: dict[int, int] = {}  # state -> activation bitmask J
@@ -452,7 +438,7 @@ class IMfantEngine:
         flushes_before = cache.stats.flushes
         sampler = obs.engine_sampler("imfant")
         stride = sampler.stride if sampler is not None else 0
-        dstride = self.deadline_stride
+        dstride = counters.DEADLINE_STRIDE
         started = time.perf_counter()
         deadline_at = self._deadline_at(started)
         cur = 0  # config id 0 == empty frontier
@@ -549,8 +535,9 @@ class IMfantEngine:
             dm = cache.stats.misses - misses0
             self._last_lazy_hit_rate = dh / (dh + dm) if (dh + dm) else 1.0
             self._dense_lazy_bytes += len(payload)
-            if not self.dense_disabled and self._dense_lazy_bytes > max(
-                0, self.dense_promote_after
+            if (
+                not self.dense_disabled
+                and self._dense_lazy_bytes > DEFAULT_PROMOTE_AFTER
             ):
                 self.promote_dense()
             return result
@@ -563,7 +550,7 @@ class IMfantEngine:
         :data:`~repro.engine.dense.DENSE_MIN_HIT_RATE`) and failures —
         including a :class:`~repro.guard.errors.MemoryBudgetExceeded` /
         :class:`~repro.guard.errors.AllocationFailed` build under
-        ``dense_budget`` — disable auto-promotion and return ``False``
+        ``budget`` — disable auto-promotion and return ``False``
         (the engine keeps running lazily: the dense rung of the guard
         ladder degrades, never crashes).  With ``force`` the gates are
         skipped and build errors propagate.  Returns ``True`` when a
@@ -578,9 +565,7 @@ class IMfantEngine:
                 return False
             if self._last_lazy_hit_rate < DENSE_MIN_HIT_RATE:
                 return False
-        meter = (
-            BudgetMeter(self.dense_budget) if self.dense_budget is not None else None
-        )
+        meter = BudgetMeter(self.budget) if self.budget is not None else None
         try:
             tier = DenseTier.build(cache, meter=meter)
         except (AllocationFailed, MemoryBudgetExceeded):
@@ -621,7 +606,7 @@ class IMfantEngine:
         it can save (big graphs de-opt a little on every payload; a
         rebuild per payload would dominate the scan).  A failed rebuild
         keeps the old tier."""
-        threshold = max(self.dense_promote_after, 4096, tier.nbytes // 8)
+        threshold = max(DEFAULT_PROMOTE_AFTER, tier.nbytes // 8)
         if self._deopt_since_build < threshold:
             return
         cache = self.lazy_cache
@@ -629,9 +614,7 @@ class IMfantEngine:
         self._deopt_since_build = 0
         if not tier.valid() or cache.num_configs <= tier.num_configs:
             return
-        meter = (
-            BudgetMeter(self.dense_budget) if self.dense_budget is not None else None
-        )
+        meter = BudgetMeter(self.budget) if self.budget is not None else None
         try:
             self.dense_tier = DenseTier.build(cache, meter=meter)
         except (AllocationFailed, MemoryBudgetExceeded):
@@ -676,7 +659,6 @@ class IMfantEngine:
             matched_rules=matched_rules,
             all_rules_mask=all_rules_mask,
             deadline_at=deadline_at,
-            deadline_stride=self.deadline_stride,
         )
         if outcome.reason == "invalidated":
             # The cache flushed mid-scan: every config id (and the

@@ -72,6 +72,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import repro.obs as obs
+from repro.engine import counters
 from repro.engine.counters import ExecutionStats, RunResult
 from repro.engine.dense import DEFAULT_PROMOTE_AFTER, DenseTier
 from repro.engine.lazy import LazyConfigCache
@@ -87,9 +88,6 @@ __all__ = [
     "expand_runs",
     "fold_mappings",
 ]
-
-#: Scan positions between deadline checks (mirrors IMfantEngine).
-DEFAULT_DEADLINE_STRIDE = 4096
 
 #: Bulk-kernel rebuild gate: a tier is only recompiled after a de-opt
 #: window during which the extended config graph grew by fewer than
@@ -253,12 +251,9 @@ class SfaScanner:
         pop_on_final: bool = False,
         tables: Optional[MfsaTables] = None,
         scan_deadline: Optional[float] = None,
-        deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
     ) -> None:
         if scan_deadline is not None and scan_deadline <= 0:
             raise UsageError(f"scan_deadline must be positive (got {scan_deadline})")
-        if deadline_stride < 1:
-            raise UsageError(f"deadline_stride must be >= 1 (got {deadline_stride})")
         if getattr(mfsa, "counting", ()):
             # A mapping composes pure state-to-state reachability; counter
             # registers carry positions, which no finite mapping can.
@@ -268,7 +263,6 @@ class SfaScanner:
             )
         self.pop_on_final = pop_on_final
         self.scan_deadline = scan_deadline
-        self.deadline_stride = deadline_stride
         self.tables = tables if tables is not None else MfsaTables.build(mfsa)
         self._build_index()
         #: per-thread bulk-kernel state (lazy cache + dense tier over
@@ -546,7 +540,6 @@ class SfaScanner:
             payload,
             start_config=st.start_config,
             deadline_at=deadline_at,
-            deadline_stride=self.deadline_stride,
         )
         st.since_build += outcome.deopt_bytes
         if outcome.reason == "invalidated":
@@ -673,7 +666,7 @@ class SfaScanner:
         pair_shift = self.pair_shift
         slot_to_rule = tables.slot_to_rule
         pop_on_final = self.pop_on_final
-        dstride = self.deadline_stride
+        dstride = counters.DEADLINE_STRIDE
 
         stats = ExecutionStats()
         stats.mask_limbs = limbs_for(tables.num_rules)

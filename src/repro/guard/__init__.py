@@ -22,7 +22,7 @@ The robustness layer threaded through the whole compile→match pipeline:
   error, never a hang.
 
 ``GuardedCompiler``/``GuardedMatcher`` (and the degrade module's
-policies) are exported lazily: they import the pipeline and engines,
+ladder types) are exported lazily: they import the pipeline and engines,
 which themselves import the error/budget half of this package, and the
 lazy hop keeps that dependency cycle one-directional at import time.
 """
@@ -85,7 +85,6 @@ __all__ = [
     "ON_ERROR_POLICIES",
     "GuardedMatcher",
     "GuardedRunResult",
-    "DegradePolicy",
     "DegradationStep",
     "BACKEND_LADDER",
 ]
@@ -96,7 +95,6 @@ _LAZY = {
     "ON_ERROR_POLICIES": "repro.guard.compiler",
     "GuardedMatcher": "repro.guard.degrade",
     "GuardedRunResult": "repro.guard.degrade",
-    "DegradePolicy": "repro.guard.degrade",
     "DegradationStep": "repro.guard.degrade",
     "BACKEND_LADDER": "repro.guard.degrade",
 }

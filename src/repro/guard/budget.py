@@ -11,12 +11,13 @@ Design notes:
 
 * **Cooperative, not preemptive.**  Every construction loop that can
   blow up (loop expansion, ε-removal, merging walks, subset
-  construction) calls ``charge_*`` as it allocates, and the long scan
-  loops call :meth:`BudgetMeter.check_deadline` every ``check_stride``
-  positions — a modulo plus a ``perf_counter`` read, cheap enough for
-  the hot path and entirely absent when no budget is configured (the
-  meter is ``None`` and call sites skip it behind one ``is not None``
-  test, the same pattern :mod:`repro.obs` uses).
+  construction) calls ``charge_*`` as it allocates, and the long
+  construction loops call :meth:`BudgetMeter.check_deadline` every
+  :data:`CHECK_STRIDE` iterations — a modulo plus a ``perf_counter``
+  read, cheap enough for the hot path and entirely absent when no
+  budget is configured (the meter is ``None`` and call sites skip it
+  behind one ``is not None`` test, the same pattern :mod:`repro.obs`
+  uses).
 * **Memory is accounted, not measured.**  Portable RSS measurement from
   inside a hot loop is neither cheap nor deterministic, so the meter
   charges an *approximate* byte cost per state/transition
@@ -43,11 +44,13 @@ from repro.guard.errors import (
     DeadlineExceeded,
     LoopBudgetExceeded,
     MemoryBudgetExceeded,
+    UsageError,
 )
 
 __all__ = [
     "Budget",
     "BudgetMeter",
+    "CHECK_STRIDE",
     "STATE_BYTES",
     "TRANSITION_BYTES",
     "COUNTING_REGISTER_BYTES",
@@ -63,6 +66,10 @@ TRANSITION_BYTES = 128
 #: window stacks; entries themselves are bounded by one per scan byte,
 #: so the static charge covers the structure, not the stream).
 COUNTING_REGISTER_BYTES = 512
+
+#: Inner-loop iterations between deadline checks in the metered
+#: construction loops (ε-closure arc emission, merge seed search).
+CHECK_STRIDE = 2048
 
 
 def _count_budget_exceeded(resource: str) -> None:
@@ -83,9 +90,8 @@ class Budget:
     ``max_loop_copies`` caps the number of AST node copies a single
     bounded repeat may expand into *and* switches loop expansion into
     strict mode (over-budget repeats raise instead of staying
-    compressed — the quarantine path needs the error).
-    ``check_stride`` is the number of scan positions / inner-loop
-    iterations between deadline checks.
+    compressed — the quarantine path needs the error).  Out-of-range
+    limits raise :class:`~repro.guard.errors.UsageError`.
     """
 
     max_states: Optional[int] = None
@@ -94,18 +100,15 @@ class Budget:
     max_memory_bytes: Optional[int] = None
     max_counting_registers: Optional[int] = None
     deadline: Optional[float] = None
-    check_stride: int = 2048
 
     def __post_init__(self) -> None:
         for name in ("max_states", "max_transitions", "max_loop_copies",
                      "max_memory_bytes", "max_counting_registers"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 (got {value})")
+                raise UsageError(f"{name} must be >= 1 (got {value})")
         if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive (got {self.deadline})")
-        if self.check_stride < 1:
-            raise ValueError(f"check_stride must be >= 1 (got {self.check_stride})")
+            raise UsageError(f"deadline must be positive (got {self.deadline})")
 
     @property
     def unlimited(self) -> bool:

@@ -22,7 +22,7 @@ compilation and walks the backend ladder when trouble shows up:
   in-flight run: the engine answers lazily and flags itself, and the
   matcher steps the ladder down to ``lazy`` for subsequent runs;
 * **cache thrash** (dense/lazy backends) — when a run's lazy-cache hit
-  rate stays under the policy threshold after a warm-up's worth of
+  rate stays under :data:`THRASH_HIT_RATE` after :data:`MIN_LOOKUPS`
   lookups, the next runs use the next backend down.  Thrash never
   corrupts results (the lazy backend is exact at any hit rate), it only
   wastes time, so degradation happens *between* runs, not mid-run;
@@ -36,8 +36,10 @@ taxonomy error (:class:`~repro.guard.errors.ScanDeadlineExceeded`,
 carrying the partial result) because silently re-running a slow scan on
 a slower backend would make the overload worse.
 
-Every step down increments ``guard_degradations_total`` on the active
-:mod:`repro.obs` registry.
+``GuardedMatcher(degrade=False)`` freezes the ladder: allocation
+failures propagate and no run is re-judged (quarantine remapping and
+fallback still apply).  Every step down increments
+``guard_degradations_total`` on the active :mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
@@ -47,16 +49,13 @@ from typing import Optional, Sequence
 
 import repro.obs as obs
 from repro.engine.counters import ExecutionStats
-from repro.engine.dense import DEFAULT_PROMOTE_AFTER
 from repro.engine.imfant import BACKENDS, IMfantEngine
-from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.engine.multithread import run_pool
 from repro.guard.errors import AllocationFailed, UsageError
 from repro.guard.quarantine import QuarantineReport
 
 __all__ = [
     "BACKEND_LADDER",
-    "DegradePolicy",
     "DegradationStep",
     "GuardedMatcher",
     "GuardedRunResult",
@@ -99,18 +98,10 @@ def next_backend(backend: str) -> Optional[str]:
     return BACKEND_LADDER[position + 1]
 
 
-@dataclass(frozen=True)
-class DegradePolicy:
-    """When the ladder steps down (see module docstring)."""
-
-    #: react to AllocationFailed by stepping down and retrying
-    on_alloc_failure: bool = True
-    #: react to lazy-cache thrash by stepping down for subsequent runs
-    on_cache_thrash: bool = True
-    #: lookups a run must make before its hit rate is judged
-    min_lookups: int = 1024
-    #: hit rate below this (after min_lookups) counts as thrashing
-    thrash_hit_rate: float = 0.5
+#: Lazy-cache lookups a run must make before its hit rate is judged.
+MIN_LOOKUPS = 1024
+#: A judged run's hit rate below this counts as cache thrash.
+THRASH_HIT_RATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -142,6 +133,9 @@ class GuardedMatcher:
     ``rule_map`` maps local rule ids (positions in the compiled ruleset)
     to original rule ids; ``quarantine`` supplies fallback FSAs for
     isolated rules.  Both default to the trivial un-quarantined case.
+    ``degrade`` turns the ladder on or off; ``scan_deadline``,
+    ``single_match`` and ``budget`` pass through to every
+    :class:`~repro.engine.imfant.IMfantEngine`.
     """
 
     def __init__(
@@ -151,14 +145,11 @@ class GuardedMatcher:
         rule_map: Optional[Sequence[int]] = None,
         quarantine: Optional[QuarantineReport] = None,
         backend: str = "python",
-        policy: Optional[DegradePolicy] = None,
+        degrade: bool = True,
         scan_deadline: Optional[float] = None,
         threads: int = 1,
         single_match: bool = False,
-        lazy_cache_size: int = DEFAULT_CACHE_SIZE,
-        dense_promote_after: int = DEFAULT_PROMOTE_AFTER,
-        dense_budget=None,
-        counting_budget=None,
+        budget=None,
     ) -> None:
         if backend not in BACKENDS:
             raise UsageError(f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -166,14 +157,11 @@ class GuardedMatcher:
         self.rule_map = list(rule_map) if rule_map is not None else None
         self.quarantine = quarantine or QuarantineReport()
         self.backend = backend
-        self.policy = policy or DegradePolicy()
+        self.degrade = degrade
         self.scan_deadline = scan_deadline
         self.threads = threads
         self.single_match = single_match
-        self.lazy_cache_size = lazy_cache_size
-        self.dense_promote_after = dense_promote_after
-        self.dense_budget = dense_budget
-        self.counting_budget = counting_budget
+        self.budget = budget
         self.degradations: list = []
         self._engines: Optional[list] = None
 
@@ -225,15 +213,12 @@ class GuardedMatcher:
                         backend=self.backend,
                         single_match=self.single_match,
                         scan_deadline=self.scan_deadline,
-                        lazy_cache_size=self.lazy_cache_size,
-                        dense_promote_after=self.dense_promote_after,
-                        dense_budget=self.dense_budget,
-                        counting_budget=self.counting_budget,
+                        budget=self.budget,
                     )
                     for mfsa in self.mfsas
                 ]
             except AllocationFailed as exc:
-                if not (self.policy.on_alloc_failure and self._degrade(self._alloc_reason(exc))):
+                if not (self.degrade and self._degrade(self._alloc_reason(exc))):
                     raise
 
     # -- matching ---------------------------------------------------------
@@ -256,12 +241,12 @@ class GuardedMatcher:
                     )
                     break
                 except AllocationFailed as exc:
-                    if not (self.policy.on_alloc_failure and self._degrade(self._alloc_reason(exc))):
+                    if not (self.degrade and self._degrade(self._alloc_reason(exc))):
                         raise
             used_backend = self.backend
-            if used_backend == "dense" and self.policy.on_alloc_failure:
+            if self.degrade and used_backend == "dense":
                 self._check_dense_demotion(engines)
-            if used_backend in ("lazy", "dense") and self.policy.on_cache_thrash:
+            if self.degrade and used_backend in ("lazy", "dense"):
                 self._check_thrash(engines, before)
 
         if self.rule_map is not None:
@@ -303,11 +288,11 @@ class GuardedMatcher:
         hits, misses = self._cache_totals(engines)
         run_hits, run_misses = hits - before[0], misses - before[1]
         lookups = run_hits + run_misses
-        if lookups < self.policy.min_lookups:
+        if lookups < MIN_LOOKUPS:
             return
         hit_rate = run_hits / lookups
-        if hit_rate < self.policy.thrash_hit_rate:
+        if hit_rate < THRASH_HIT_RATE:
             self._degrade(
                 f"cache-thrash: hit rate {hit_rate:.1%} < "
-                f"{self.policy.thrash_hit_rate:.1%} over {lookups} lookups"
+                f"{THRASH_HIT_RATE:.1%} over {lookups} lookups"
             )

@@ -36,6 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 import repro.obs as obs
 from repro.automata.fsa import Fsa
+from repro.guard.budget import CHECK_STRIDE
 from repro.guard.errors import UsageError
 from repro.mfsa.model import Mfsa, MTransition, from_single_fsa
 
@@ -296,7 +297,8 @@ def _find_merging_structures(
     walk that extends while the successor transitions keep matching, and
     each maximal walk becomes one Merging Structure.  The seed search is
     the quadratic heart of the merge, so the budget deadline is checked
-    every ``check_stride`` label comparisons when a meter is present.
+    every :data:`~repro.guard.budget.CHECK_STRIDE` label comparisons
+    when a meter is present.
     """
     z_by_label = mfsa.arcs_by_label()
     z_out = mfsa.outgoing_index()
@@ -309,7 +311,6 @@ def _find_merging_structures(
 
     structures: list[MergingStructure] = []
     seen_seeds: set[tuple[int, int]] = set()
-    stride = meter.budget.check_stride if meter is not None else 0
 
     for ai, at in enumerate(a_arcs):
         candidates = z_by_label.get(at.label.mask, ())  # type: ignore[union-attr]
@@ -317,7 +318,7 @@ def _find_merging_structures(
             candidates = candidates[:seed_cap]
         for zi in candidates:
             stats.label_comparisons += 1
-            if meter is not None and stats.label_comparisons % stride == 0:
+            if meter is not None and stats.label_comparisons % CHECK_STRIDE == 0:
                 meter.check_deadline(stage="merging", rule=rule)
             if (zi, ai) in seen_seeds:
                 continue

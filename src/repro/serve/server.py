@@ -53,8 +53,6 @@ from pathlib import Path
 from typing import Any, Awaitable, Callable, Optional, Sequence
 
 import repro.obs as obs
-from repro.engine.imfant import DEFAULT_DEADLINE_STRIDE
-from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.guard import faultinject
 from repro.guard.budget import Budget
 from repro.guard.errors import DeadlineExceeded, ReproError, UsageError
@@ -76,6 +74,11 @@ __all__ = ["ServeConfig", "MatchService", "MatchServer", "ServerThread"]
 
 _log = logging.getLogger("repro.serve")
 
+#: finished spans older than this (seconds) are pruned from a
+#: *service-owned* tracer after each batch (bounds memory on
+#: long-running servers)
+_TRACE_MAX_AGE = 60.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -94,9 +97,6 @@ class ServeConfig:
     #: default per-request wall-clock deadline in seconds (None = none);
     #: a request's ``deadline_ms`` overrides it
     default_deadline: Optional[float] = None
-    lazy_cache_size: int = DEFAULT_CACHE_SIZE
-    #: scan positions between deadline checks inside the engines
-    deadline_stride: int = DEFAULT_DEADLINE_STRIDE
     #: honour the protocol's ``shutdown`` op (CLI and tests; a hardened
     #: deployment would front this with real auth)
     allow_shutdown: bool = True
@@ -112,15 +112,10 @@ class ServeConfig:
     #: how long a completed response stays replayable for an idempotent
     #: retry carrying the same ``request_key``
     dedup_ttl: float = 30.0
-    #: replay-window size bound (LRU beyond it)
-    dedup_entries: int = 1024
     #: period of the background worker heartbeat probe (None = off);
     #: catches dead/wedged executors between requests instead of on the
     #: first victim request
     heartbeat_interval: Optional[float] = None
-    #: how long one heartbeat probe may take before the worker counts as
-    #: hung
-    heartbeat_timeout: float = 2.0
     #: enable a service-owned metrics registry when none is active, so a
     #: bare ``repro serve`` still answers the ``stats`` op with
     #: percentiles (an already-active registry is reused, never replaced)
@@ -129,9 +124,6 @@ class ServeConfig:
     #: and honour the protocol's ``ship_spans`` flag; enables a
     #: service-owned tracer when none is active
     trace_requests: bool = False
-    #: finished spans older than this are pruned from a *service-owned*
-    #: tracer after each batch (bounds memory on long-running servers)
-    trace_max_age: float = 60.0
 
     def __post_init__(self) -> None:
         if self.batch_max < 1:
@@ -205,9 +197,7 @@ class MatchService:
         #: which ruleset the workers run)
         self.supervisor = ShardSupervisor()
         self.pool = self._build_pool(artifact)
-        self.dedup = DedupWindow(
-            ttl=self.config.dedup_ttl, max_entries=self.config.dedup_entries
-        )
+        self.dedup = DedupWindow(ttl=self.config.dedup_ttl)
         self.admission: Optional[AdmissionController] = (
             AdmissionController(
                 target=self.config.admission_target,
@@ -239,8 +229,6 @@ class MatchService:
             num_shards=self.config.shards,
             backend=self.config.backend,
             mode=self.config.mode,
-            lazy_cache_size=self.config.lazy_cache_size,
-            deadline_stride=self.config.deadline_stride,
             supervisor=self.supervisor,
         )
 
@@ -516,7 +504,7 @@ class MatchService:
             if self._owns_tracer:
                 tracer = obs.get_tracer()
                 if tracer is not None:
-                    tracer.prune(self.config.trace_max_age)
+                    tracer.prune(_TRACE_MAX_AGE)
 
     async def _try_reply(self, pending: _Pending, document: dict[str, Any]) -> None:
         """Best-effort reply: a vanished client must not take the
@@ -693,9 +681,7 @@ class MatchService:
             except Exception:
                 continue
             try:
-                ok = await asyncio.to_thread(
-                    pool.heartbeat, self.config.heartbeat_timeout
-                )
+                ok = await asyncio.to_thread(pool.heartbeat)
             except Exception:
                 ok = False
             finally:

@@ -25,7 +25,10 @@ workers:
   ``mode="thread"`` keeps workers in-process; ``mode="process"`` runs
   them in forked worker processes that *load* the compiled artifact
   from the :class:`~repro.serve.artifacts.ArtifactStore` instead of
-  recompiling.
+  recompiling.  No tuning travels to the workers: engines and scanners
+  run at their own constants (cache bound, deadline-check stride), so
+  a process worker is initialised from the artifact path, the backend
+  and the plan alone.
 * **Degradation** — an :class:`~repro.guard.errors.AllocationFailed`
   while building worker engines steps the pool down the
   :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → python)
@@ -76,8 +79,7 @@ from typing import Optional, Sequence
 
 import repro.obs as obs
 from repro.engine.counters import ExecutionStats
-from repro.engine.imfant import BACKENDS, DEFAULT_DEADLINE_STRIDE, IMfantEngine
-from repro.engine.lazy import DEFAULT_CACHE_SIZE
+from repro.engine.imfant import BACKENDS, IMfantEngine
 from repro.engine.chunkscan import ShardJob, plan_shards, rebase_matches, resolve_strategy
 from repro.engine.sfa import ChunkMapping, SfaScanner, fold_mappings
 from repro.guard import faultinject
@@ -147,8 +149,7 @@ class ShardScanResult:
 _PROCESS_STATE: dict = {}
 
 
-def _process_init(artifact_path: str, backend: str, lazy_cache_size: int,
-                  deadline_stride: int, strategy: str) -> None:
+def _process_init(artifact_path: str, backend: str, strategy: str) -> None:
     """Worker-process initializer: *load* the artifact, never recompile,
     and pick the plan's per-segment scan once."""
     import json
@@ -161,13 +162,10 @@ def _process_init(artifact_path: str, backend: str, lazy_cache_size: int,
         # mapping workers run the dedicated simultaneous-run interpreter;
         # no byte engines (and no lazy caches) are needed
         _PROCESS_STATE["scan"] = (
-            _scan_segment_mappings, _build_scanners(mfsas, deadline_stride)
+            _scan_segment_mappings, [SfaScanner(mfsa) for mfsa in mfsas]
         )
     else:
-        _PROCESS_STATE["scan"] = (
-            _scan_segment,
-            _build_engines(mfsas, backend, lazy_cache_size, deadline_stride),
-        )
+        _PROCESS_STATE["scan"] = (_scan_segment, _build_engines(mfsas, backend))
 
 
 def _process_scan(args: tuple) -> tuple[object, ExecutionStats, bool, list]:
@@ -212,15 +210,6 @@ def _worker_heartbeat() -> int:
     return os.getpid()
 
 
-def _build_scanners(
-    mfsas: Sequence[Mfsa],
-    deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
-) -> list[SfaScanner]:
-    return [
-        SfaScanner(mfsa, deadline_stride=deadline_stride) for mfsa in mfsas
-    ]
-
-
 def _scan_segment_mappings(
     scanners: Sequence[SfaScanner],
     segment: bytes,
@@ -259,21 +248,8 @@ def _scan_segment_mappings(
     return (mappings, salvage), totals, timed_out
 
 
-def _build_engines(
-    mfsas: Sequence[Mfsa],
-    backend: str,
-    lazy_cache_size: int,
-    deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
-) -> list[IMfantEngine]:
-    return [
-        IMfantEngine(
-            mfsa,
-            backend=backend,
-            lazy_cache_size=lazy_cache_size,
-            deadline_stride=deadline_stride,
-        )
-        for mfsa in mfsas
-    ]
+def _build_engines(mfsas: Sequence[Mfsa], backend: str) -> list[IMfantEngine]:
+    return [IMfantEngine(mfsa, backend=backend) for mfsa in mfsas]
 
 
 def _scan_segment(
@@ -322,8 +298,6 @@ class ShardPool:
         num_shards: int = 2,
         backend: str = "lazy",
         mode: str = "thread",
-        lazy_cache_size: int = DEFAULT_CACHE_SIZE,
-        deadline_stride: int = DEFAULT_DEADLINE_STRIDE,
         supervisor: Optional[ShardSupervisor] = None,
     ) -> None:
         if num_shards < 1:
@@ -338,8 +312,6 @@ class ShardPool:
         self.num_shards = num_shards
         self.backend = backend
         self.mode = mode
-        self.lazy_cache_size = lazy_cache_size
-        self.deadline_stride = deadline_stride
         #: the plan the automata admit ("overlap" | "sfa") and the
         #: per-rule max match width (None = unbounded; under "overlap",
         #: that is a counting artifact scanned as one job)
@@ -381,13 +353,7 @@ class ShardPool:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.num_shards,
                     initializer=_process_init,
-                    initargs=(
-                        str(self.artifact.path),
-                        self.backend,
-                        self.lazy_cache_size,
-                        self.deadline_stride,
-                        self.strategy,
-                    ),
+                    initargs=(str(self.artifact.path), self.backend, self.strategy),
                 )
         return self._executor
 
@@ -397,9 +363,7 @@ class ShardPool:
         by the dispatcher reduce to attach/apply process-mode mappings."""
         with self._lock:
             if self._scanners is None:
-                self._scanners = _build_scanners(
-                    self.artifact.mfsas, self.deadline_stride
-                )
+                self._scanners = [SfaScanner(mfsa) for mfsa in self.artifact.mfsas]
             return self._scanners
 
     def _degrade(self, reason: str) -> bool:
@@ -435,10 +399,7 @@ class ShardPool:
                 if self._templates is not None:
                     return self._templates
                 try:
-                    self._templates = _build_engines(
-                        self.artifact.mfsas, self.backend,
-                        self.lazy_cache_size, self.deadline_stride,
-                    )
+                    self._templates = _build_engines(self.artifact.mfsas, self.backend)
                     return self._templates
                 except AllocationFailed as exc:
                     failure = exc

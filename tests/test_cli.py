@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cli import compile_main, match_main, report_main, serve_main, viz_main
+from repro.cli import (
+    compile_main,
+    match_main,
+    obs_main,
+    report_main,
+    serve_main,
+    viz_main,
+)
 
 
 @pytest.fixture
@@ -82,7 +89,9 @@ class TestMatchMain:
         for extra in (["--backend", "numpy"],
                       ["--backend", "dense", "--dense-stride", "2"],
                       ["--backend", "dense", "--no-prefilter"],
-                      ["--backend", "lazy", "--lazy-eviction", "lru"]):
+                      ["--backend", "lazy", "--lazy-eviction", "lru"],
+                      ["--backend", "lazy", "--lazy-cache-size", "16"],
+                      ["--backend", "dense", "--dense-promote-after", "256"]):
             with pytest.raises(SystemExit) as info:
                 match_main(base + extra)
             assert info.value.code == 2, extra
@@ -95,6 +104,86 @@ class TestServeMain:
             serve_main(["--builtin", "tokens_exact", "--artifact-dir", str(tmp_path),
                         "--scan-strategy", "sfa"])
         assert info.value.code == 2
+
+
+def _exit_code(main, argv) -> int:
+    """A CLI entry point's exit code, whether argparse exits or it returns."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _base_argv(command, ruleset_file, stream_file, tmp_path) -> list:
+    return {
+        "compile": [str(ruleset_file), "-o", str(tmp_path / "out")],
+        "match": [str(stream_file), "--ruleset", str(ruleset_file)],
+        "obs": ["--ruleset", str(ruleset_file), "--stream-size", "256", "--quiet"],
+        "serve": ["--ruleset", str(ruleset_file), "--artifact-dir", str(tmp_path)],
+    }[command]
+
+
+_MAINS = {"compile": compile_main, "match": match_main, "obs": obs_main,
+          "serve": serve_main}
+
+
+class TestEngineTuningFlagsRemoved:
+    """The engine owns its cache bound and promotion threshold (the match
+    cases live in TestMatchMain)."""
+
+    @pytest.mark.parametrize("command,extra", [
+        pytest.param("obs", ["--backend", "lazy", "--lazy-cache-size", "16"],
+                     id="obs-lazy-cache-size"),
+        pytest.param("serve", ["--lazy-cache-size", "16"],
+                     id="serve-lazy-cache-size"),
+        pytest.param("obs", ["--backend", "dense", "--dense-promote-after", "256"],
+                     id="obs-dense-promote-after"),
+    ])
+    def test_flag_exits_2(self, command, extra, ruleset_file, stream_file,
+                          tmp_path, capsys):
+        # serve reads a missing ruleset: were the flag accepted, the run
+        # would fail on the file instead of serving forever
+        if command == "serve":
+            ruleset_file = tmp_path / "missing.txt"
+        argv = _base_argv(command, ruleset_file, stream_file, tmp_path) + extra
+        assert _exit_code(_MAINS[command], argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestErrorContract:
+    """Out-of-range numbers are usage errors: exit 2 with a one-line
+    message, never a traceback."""
+
+    @pytest.mark.parametrize("command,extra", [
+        pytest.param("match", ["-t", "0"], id="match-threads-0"),
+        pytest.param("obs", ["-t", "0"], id="obs-threads-0"),
+        pytest.param("obs", ["--stride", "0"], id="obs-stride-0"),
+        pytest.param("match", ["--obs-stride", "0", "--metrics-out", "{tmp}/m.prom"],
+                     id="match-obs-stride-0"),
+        pytest.param("compile", ["--obs-stride", "0", "--metrics-out", "{tmp}/m.prom"],
+                     id="compile-obs-stride-0"),
+        pytest.param("compile", ["--deadline", "0"], id="compile-deadline-0"),
+        pytest.param("compile", ["--deadline", "-1"], id="compile-deadline-neg"),
+        pytest.param("match", ["--deadline", "0"], id="match-deadline-0"),
+        pytest.param("match", ["--deadline", "-1"], id="match-deadline-neg"),
+        pytest.param("obs", ["--deadline", "0"], id="obs-deadline-0"),
+        pytest.param("obs", ["--deadline", "-1"], id="obs-deadline-neg"),
+        pytest.param("compile", ["--budget-states", "0"], id="budget-states-0"),
+        pytest.param("compile", ["--budget-transitions", "0"],
+                     id="budget-transitions-0"),
+        pytest.param("compile", ["--budget-loop-copies", "0"],
+                     id="budget-loop-copies-0"),
+        pytest.param("compile", ["--budget-memory-mb", "0"], id="budget-memory-mb-0"),
+        pytest.param("match", ["--budget-states", "0"], id="match-budget-states-0"),
+    ])
+    def test_out_of_range_exits_2(self, command, extra, ruleset_file, stream_file,
+                                  tmp_path, capsys):
+        argv = _base_argv(command, ruleset_file, stream_file, tmp_path)
+        argv += [item.format(tmp=tmp_path) for item in extra]
+        assert _exit_code(_MAINS[command], argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error:" in err
 
 
 class TestVizMain:

@@ -169,15 +169,16 @@ def test_serialize_round_trip(patterns):
 # ---------------------------------------------------------------------------
 
 
-def test_mid_scan_deadline_yields_sound_partial():
+def test_mid_scan_deadline_yields_sound_partial(monkeypatch):
+    from repro.engine import counters
     from repro.guard import faultinject
 
     mfsas = _compile_counting(["ab{3,9}c", "x[0-9]{2,}y"], threshold=2)
     payload = b"zabbbbc x12y " * 256
     full = _matches(mfsas, payload, "counting")
-    engine = IMfantEngine(
-        mfsas[0], backend="counting", scan_deadline=0.02, deadline_stride=1
-    )
+    # check the deadline at every byte (the payload is under one stride)
+    monkeypatch.setattr(counters, "DEADLINE_STRIDE", 1)
+    engine = IMfantEngine(mfsas[0], backend="counting", scan_deadline=0.02)
     with faultinject.inject("engine.step_delay", 0.005):
         with pytest.raises(ScanDeadlineExceeded) as info:
             engine.run(payload)

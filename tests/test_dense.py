@@ -125,12 +125,11 @@ class TestPromotionGates:
         assert engine.dense_tier is None  # far below promote_after
 
     def test_auto_promotion_after_warm_stable_runs(self):
-        engine = IMfantEngine(
-            _compile_one(["ab"]), backend="dense", dense_promote_after=256
-        )
-        payload = b"xab" * 400
+        engine = IMfantEngine(_compile_one(["ab"]), backend="dense")
+        payload = b"xab" * 22000
+        assert len(payload) > DEFAULT_PROMOTE_AFTER
         engine.run(payload, collect_stats=False)
-        # one run is enough: >256 lazy bytes at a near-perfect hit rate
+        # one run is enough: past the threshold at a near-perfect hit rate
         assert engine.dense_tier is not None
         assert engine.run(payload).matches == _python_matches(
             _compile_one(["ab"]), payload
@@ -186,7 +185,8 @@ class TestDeoptParity:
         invalidate and the scan re-answer lazily — same matches."""
         mfsa = _compile_one(DEOPT_PATTERNS)
         payload = _demo_stream(list(DEOPT_PATTERNS), 4096, seed=17)
-        engine = IMfantEngine(mfsa, backend="dense", lazy_cache_size=16)
+        with faultinject.inject("lazy.cache_pressure", 16):
+            engine = IMfantEngine(mfsa, backend="dense")
         engine.run(payload[:64], collect_stats=False)
         engine.promote_dense(force=True)
         flushes_before = engine.lazy_cache.stats.flushes
@@ -215,7 +215,7 @@ class TestDenseGuard:
         engine = IMfantEngine(
             _compile_one(["ab"]),
             backend="dense",
-            dense_budget=Budget(max_memory_bytes=1),
+            budget=Budget(max_memory_bytes=1),
         )
         payload = b"ab" * 200
         engine.run(payload, collect_stats=False)
@@ -231,9 +231,9 @@ class TestDenseGuard:
 
         patterns = ["ab"]
         mfsas = [_compile_one(patterns)]
-        matcher = GuardedMatcher(mfsas, backend="dense", dense_promote_after=256)
+        matcher = GuardedMatcher(mfsas, backend="dense")
         matcher._ensure_engines()  # construct before arming the fault
-        payload = b"xab" * 400
+        payload = b"xab" * 22000  # past DEFAULT_PROMOTE_AFTER: auto-promotes
         with faultinject.inject("alloc", "dense"):
             first = matcher.run(payload)  # auto-promotion fails inside
         assert first.backend == "dense"  # the failing run still answered

@@ -17,6 +17,7 @@ from repro.engine.chunkscan import chunk_scan
 from repro.engine.imfant import IMfantEngine
 from repro.engine.lazy import LazyConfigCache
 from repro.engine.tables import MfsaTables
+from repro.guard import faultinject
 from repro.mfsa.activation import ActivationConfig, reference_match
 from repro.mfsa.merge import merge_fsas
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
@@ -26,6 +27,13 @@ from conftest import compile_ruleset_fsas, ere_patterns, input_strings
 
 def build(patterns):
     return merge_fsas(compile_ruleset_fsas(patterns))
+
+
+def small_cache_engine(mfsa, entries, **kwargs):
+    """A lazy engine whose cache is clamped to ``entries`` through the
+    ``lazy.cache_pressure`` fault point (the cache size is not a knob)."""
+    with faultinject.inject("lazy.cache_pressure", entries):
+        return IMfantEngine(mfsa, backend="lazy", **kwargs)
 
 
 STATS_FIELDS = (
@@ -85,7 +93,7 @@ class TestLazyBackend:
     def test_invalid_cache_config(self):
         mfsa = build(["a"])
         with pytest.raises(ValueError):
-            IMfantEngine(mfsa, backend="lazy", lazy_cache_size=0)
+            LazyConfigCache(MfsaTables.build(mfsa), max_entries=0)
 
 
 class TestCacheBehaviour:
@@ -112,7 +120,7 @@ class TestCacheBehaviour:
 
     def test_flush_eviction_bounds_cache(self):
         mfsa = build(["abc", "a[bc]d", "[a-d]+x"])
-        engine = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=4)
+        engine = small_cache_engine(mfsa, 4)
         text = "abcdxadbcax" * 40
         result = engine.run(text)
         cache = engine.lazy_cache
@@ -143,7 +151,7 @@ class TestCacheBehaviour:
 class TestObsIntegration:
     def test_counters_exported(self):
         mfsa = build(["abc", "bcd"])
-        engine = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=4)
+        engine = small_cache_engine(mfsa, 4)
         text = "abcdbcax" * 30
         with obs.capture() as cap:
             engine.run(text)
@@ -177,8 +185,9 @@ class TestPlumbing:
         mfsa = build(patterns)
         data = "abcadxbcabcd" * 200
         expected = IMfantEngine(mfsa).run(data).matches
-        got = chunk_scan(mfsa, data, chunk_size=256, num_threads=4,
-                         backend="lazy", lazy_cache_size=64)
+        with faultinject.inject("lazy.cache_pressure", 64):
+            got = chunk_scan(mfsa, data, chunk_size=256, num_threads=4,
+                             backend="lazy")
         assert got == expected
 
     def test_hybrid_lazy(self):
@@ -189,7 +198,7 @@ class TestPlumbing:
         options = CompileOptions(counting=True, count_threshold=32, emit_anml=False)
         for mfsa in compile_ruleset(patterns, options).mfsas:
             base = IMfantEngine(mfsa, backend="counting").run(data).matches
-            lazy = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=128)
+            lazy = small_cache_engine(mfsa, 128)
             assert lazy.run(data).matches == base
 
 
@@ -209,8 +218,7 @@ def test_lazy_agreement_property(data):
     cache_size = data.draw(st.sampled_from([1, 2, 8, 4096]))
     mfsa = build(patterns)
     py = IMfantEngine(mfsa, backend="python", pop_on_final=pop).run(text)
-    lazy = IMfantEngine(mfsa, backend="lazy", pop_on_final=pop,
-                        lazy_cache_size=cache_size).run(text)
+    lazy = small_cache_engine(mfsa, cache_size, pop_on_final=pop).run(text)
     assert py.matches == reference_match(
         mfsa, text, ActivationConfig(pop_on_final=pop))
     assert lazy.matches == py.matches
@@ -228,7 +236,7 @@ def test_lazy_epsilon_rules_property(data):
     text = data.draw(input_strings())
     mfsa = build(patterns)
     py = IMfantEngine(mfsa, backend="python").run(text)
-    lazy = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=2).run(text)
+    lazy = small_cache_engine(mfsa, 2).run(text)
     assert lazy.matches == py.matches
     assert_stats_equal(py.stats, lazy.stats)
 
@@ -241,8 +249,7 @@ def test_lazy_single_match_property(data):
     text = data.draw(input_strings())
     mfsa = build(patterns)
     py = IMfantEngine(mfsa, backend="python", single_match=True).run(text)
-    lazy = IMfantEngine(mfsa, backend="lazy", single_match=True,
-                        lazy_cache_size=4).run(text)
+    lazy = small_cache_engine(mfsa, 4, single_match=True).run(text)
     assert lazy.matches == py.matches
     assert lazy.stats.chars_processed == py.stats.chars_processed
 
@@ -255,7 +262,7 @@ def test_lazy_warm_cache_stays_correct_property(data):
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=3))
     texts = data.draw(st.lists(input_strings(), min_size=2, max_size=4))
     mfsa = build(patterns)
-    engine = IMfantEngine(mfsa, backend="lazy", lazy_cache_size=8)
+    engine = small_cache_engine(mfsa, 8)
     for text in texts:
         expected = IMfantEngine(mfsa, backend="python").run(text)
         got = engine.run(text)

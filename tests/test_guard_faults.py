@@ -7,11 +7,12 @@ import time
 import pytest
 
 import repro.obs as obs
+from repro.engine import counters
 from repro.engine.imfant import IMfantEngine
 from repro.guard import faultinject
 from repro.guard.budget import Budget
 from repro.guard.compiler import GuardedCompiler
-from repro.guard.degrade import DegradePolicy, GuardedMatcher
+from repro.guard.degrade import MIN_LOOKUPS, GuardedMatcher
 from repro.guard.errors import (
     AllocationFailed,
     CompileError,
@@ -62,9 +63,16 @@ class TestCompileFaults:
         compile_ruleset(["abc"])  # no fault, no error
 
 
+@pytest.fixture
+def check_every_byte(monkeypatch):
+    """Check the scan deadline at every position (payloads here are far
+    shorter than the production stride)."""
+    monkeypatch.setattr(counters, "DEADLINE_STRIDE", 1)
+
+
 class TestScanFaults:
-    def test_step_delay_trips_the_scan_deadline(self, mfsa):
-        engine = IMfantEngine(mfsa, scan_deadline=0.02, deadline_stride=1)
+    def test_step_delay_trips_the_scan_deadline(self, mfsa, check_every_byte):
+        engine = IMfantEngine(mfsa, scan_deadline=0.02)
         started = time.perf_counter()
         with faultinject.inject("engine.step_delay", 0.005):
             with pytest.raises(ScanDeadlineExceeded) as info:
@@ -79,8 +87,8 @@ class TestScanFaults:
         assert 0 < partial.stats.chars_processed < 7 * 64
         assert partial.stats.wall_seconds > 0
 
-    def test_partial_result_keeps_matches_found_so_far(self, mfsa):
-        engine = IMfantEngine(mfsa, scan_deadline=0.02, deadline_stride=1)
+    def test_partial_result_keeps_matches_found_so_far(self, mfsa, check_every_byte):
+        engine = IMfantEngine(mfsa, scan_deadline=0.02)
         payload = b"abc" + b"z" * 1024
         with faultinject.inject("engine.step_delay", 0.005):
             with pytest.raises(ScanDeadlineExceeded) as info:
@@ -121,10 +129,9 @@ class TestAllocFaults:
                 GuardedMatcher([mfsa], backend="lazy").run(b"abc")
 
     def test_policy_can_refuse_to_degrade(self, mfsa):
-        policy = DegradePolicy(on_alloc_failure=False)
         with faultinject.inject("alloc", "lazy"):
             with pytest.raises(AllocationFailed):
-                GuardedMatcher([mfsa], backend="lazy", policy=policy).run(b"abc")
+                GuardedMatcher([mfsa], backend="lazy", degrade=False).run(b"abc")
 
 
 class TestCachePressureFaults:
@@ -134,10 +141,11 @@ class TestCachePressureFaults:
         assert engine.lazy_cache.max_entries == 1
 
     def test_thrash_degrades_the_next_run(self, mfsa):
-        policy = DegradePolicy(min_lookups=16, thrash_hit_rate=0.5)
+        payload = b"abcdzzabdzz" * 100
+        assert len(payload) >= MIN_LOOKUPS  # long enough to be judged
         with faultinject.inject("lazy.cache_pressure", True):
-            matcher = GuardedMatcher([mfsa], backend="lazy", policy=policy)
-            first = matcher.run(b"abcdzzabdzz" * 16)
+            matcher = GuardedMatcher([mfsa], backend="lazy")
+            first = matcher.run(payload)
         # the thrashing run itself is exact ...
         assert (0, 3) in first.matches
         # ... and the matcher has stepped down for subsequent runs
@@ -228,7 +236,7 @@ class TestCountingRegisterPressure:
         matcher = GuardedMatcher(
             counting_mfsas,
             backend="counting",
-            counting_budget=Budget(max_counting_registers=1),
+            budget=Budget(max_counting_registers=1),
         )
         run = matcher.run(self.PAYLOAD)
         assert matcher.backend == "lazy"
@@ -236,11 +244,10 @@ class TestCountingRegisterPressure:
         assert run.degradations[0].reason.startswith("counting-register-pressure:")
 
     def test_policy_can_refuse_to_demote(self, counting_mfsas):
-        policy = DegradePolicy(on_alloc_failure=False)
         with faultinject.inject("counting.register_pressure", 1):
             with pytest.raises(AllocationFailed):
                 GuardedMatcher(
-                    counting_mfsas, backend="counting", policy=policy
+                    counting_mfsas, backend="counting", degrade=False
                 ).run(self.PAYLOAD)
 
     def test_threshold_above_register_count_is_inert(self, counting_mfsas):

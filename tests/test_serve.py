@@ -21,6 +21,7 @@ import threading
 import pytest
 
 import repro.obs as obs
+from repro.engine import counters
 from repro.engine.imfant import IMfantEngine
 from repro.guard import faultinject
 from repro.guard.errors import ConnectionLost, UsageError
@@ -208,10 +209,16 @@ def test_pool_degrades_on_allocation_failure(artifact):
     assert counter is not None and counter.value >= 1
 
 
-def test_pool_deadline_yields_partial(artifact):
+@pytest.fixture
+def frequent_deadline_checks(monkeypatch):
+    """Check scan deadlines every 64 bytes: PAYLOAD is shorter than the
+    production stride, so the drills would otherwise never look."""
+    monkeypatch.setattr(counters, "DEADLINE_STRIDE", 64)
+
+
+def test_pool_deadline_yields_partial(artifact, frequent_deadline_checks):
     with faultinject.inject("engine.step_delay", 0.05):
-        with ShardPool(artifact, num_shards=2, backend="python",
-                       deadline_stride=64) as pool:
+        with ShardPool(artifact, num_shards=2, backend="python") as pool:
             result = pool.scan(PAYLOAD, deadline=0.15)
     assert result.partial
     assert result.timed_out_shards  # at least one shard hit the wall
@@ -254,14 +261,14 @@ def test_pool_process_mode_degrades_on_worker_failure(artifact):
     assert counter is not None and counter.value >= 1
 
 
-def test_scan_segment_deadline_is_absolute(artifact):
+def test_scan_segment_deadline_is_absolute(artifact, frequent_deadline_checks):
     """A job whose budget was consumed while it queued must time out the
     moment it starts — the deadline is absolute, not reset at job start."""
     import time
 
     from repro.serve.shards import _build_engines, _scan_segment
 
-    engines = _build_engines(artifact.mfsas, "python", 1024, 64)
+    engines = _build_engines(artifact.mfsas, "python")
     started = time.perf_counter()
     matches, _, timed_out = _scan_segment(
         engines, PAYLOAD, time.perf_counter() - 1.0, True
@@ -555,11 +562,11 @@ def test_socket_unknown_op_and_disabled_shutdown(artifact):
             assert client.ping()
 
 
-def test_socket_fault_drill_partial_not_hang(artifact):
+def test_socket_fault_drill_partial_not_hang(artifact, frequent_deadline_checks):
     """The wedged-shard drill: injected step delay + deadline → 206, fast."""
     import time
 
-    config = ServeConfig(shards=2, backend="python", deadline_stride=64)
+    config = ServeConfig(shards=2, backend="python")
     with faultinject.inject("engine.step_delay", 0.05):
         with ServerThread(artifact, config) as address:
             with MatchClient.connect(address) as client:
