@@ -46,23 +46,6 @@ class CostModel:
     #: ``linear_ops`` counter).  Same order as ``c_trans``: both are one
     #: AND/OR on a (wider) integer.
     c_linear: float = 0.3
-    #: per char resolved by a warm lazy-DFA cache hit: one memo probe
-    #: replaces the whole interpretive per-char body.  Misses pay the
-    #: interpretive price but amortise to zero on stable config graphs.
-    c_lazy: float = 1.5
-    #: per char stepped through a compiled dense-tier row (one table
-    #: index per byte — the cheapest per-byte path of any backend; run
-    #: skipping only pushes it lower).
-    c_dense: float = 0.4
-    #: fixed per-char dispatch of the counting backend: the interpretive
-    #: python body plus the counter-register advance.  The register work
-    #: itself rides in the transition term (counting scans charge one
-    #: examined transition per register per char), so this constant only
-    #: carries the slightly heavier per-byte dispatch.  What the model
-    #: cannot show directly — and the bench measures — is the
-    #: *alternative* cost: the expanded automaton pays c_trans over a
-    #: transition count linear in the repeat bound.
-    c_counting_char: float = 2.2
 
     def run_cost(self, stats: ExecutionStats) -> float:
         """Modelled execution time of one automaton run."""
@@ -82,37 +65,6 @@ class CostModel:
         prices it per builtin).
         """
         return self.run_cost(stats) + self.c_linear * linear_ops
-
-    def backend_run_cost(self, stats: ExecutionStats, backend: str) -> float:
-        """Modelled time of one run under a given execution backend.
-
-        The counters are backend-invariant (every backend examines the
-        same transitions); what differs is the machinery each backend
-        pays to examine them:
-
-        * ``python`` — the full interpretive model (:meth:`run_cost`).
-        * ``lazy`` — one memo probe per char once the config graph is
-          warm (the steady state the autotuner cares about).
-        * ``dense`` — one compiled-table index per char.
-
-        This is the *prior* used to rank backends without measurement;
-        :func:`repro.pipeline.autotune.choose_backend` measures the
-        real crossover and treats this model as the auditable
-        prediction column.
-        """
-        if backend == "python":
-            return self.run_cost(stats)
-        if backend == "lazy":
-            return self.c_lazy * stats.chars_processed
-        if backend == "dense":
-            return self.c_dense * stats.chars_processed
-        if backend == "counting":
-            return (
-                self.c_counting_char * stats.chars_processed
-                + self.c_trans * stats.transitions_examined
-                + self.c_active * stats.active_pair_total * stats.mask_limbs
-            )
-        raise ValueError(f"unknown backend {backend!r}")
 
     def total_cost(self, runs: list[ExecutionStats]) -> float:
         """Sequential (single-thread) time for a list of runs."""

@@ -25,14 +25,16 @@ Four interchangeable implementations:
   compressed NumPy tables and buffers are scanned in bulk (self-loop
   run skipping), de-opting to lazy interpretation wherever a scan
   escapes the compiled region.
-* ``backend="counting"`` — the python step plus counter registers
+* ``backend="counting"`` — counter registers
   (:mod:`repro.engine.counting`) for the counting arcs of a
   :class:`~repro.counting.mfsa.CountingMfsa`: bounded ``{m,n}`` repeats
   run in O(1) amortised per byte instead of expanding into bound-many
-  states.  Both run the same interpretive loop; on a plain
-  :class:`~repro.mfsa.model.Mfsa` (zero registers) the register block
-  never runs and counting *is* the python backend — matches *and* work
-  counters.
+  states.  The plain arcs' step is memoized in the same lazy cache the
+  lazy backend uses (frontiers recur even while registers count), and
+  only registers holding or receiving an entry step; their exits join
+  the cached successor frontier.  A counting compile with no registers
+  left is a plain :class:`~repro.mfsa.model.Mfsa` and scans on the lazy
+  loop.
 
 All produce identical matches and (modulo wall time) identical work
 counters; tests enforce the agreement.
@@ -47,7 +49,7 @@ import repro.obs as obs
 from repro.counting.mfsa import CountingMfsa
 from repro.engine import counters
 from repro.engine.counters import RunResult
-from repro.engine.counting import RegisterFile, RegisterSpec, build_register_specs
+from repro.engine.counting import RegisterBank, RegisterFile
 from repro.engine.dense import (
     DEFAULT_PROMOTE_AFTER,
     DENSE_MIN_HIT_RATE,
@@ -108,7 +110,8 @@ class IMfantEngine:
     ``backend="counting"`` accepts a
     :class:`~repro.counting.mfsa.CountingMfsa` and runs its counting
     arcs through counter registers (:mod:`repro.engine.counting`)
-    alongside the ordinary python step over the plain arcs.  ``budget``
+    alongside the plain arcs' step, which an engine-owned lazy cache
+    memoizes exactly as under ``backend="lazy"``.  ``budget``
     charges one ``counting.registers`` allocation per register at
     engine construction; exceeding it raises
     :class:`~repro.guard.errors.AllocationFailed` with that stage, the
@@ -166,54 +169,54 @@ class IMfantEngine:
         self._dense_lazy_bytes = 0
         self._deopt_since_build = 0
         self._last_lazy_hit_rate = 0.0
-        self._register_specs: tuple[RegisterSpec, ...] = ()
+        self._registers: RegisterBank | None = None
         backend = self.backend
         try:
             faultinject.fire("alloc", backend=backend)
-            if backend in ("lazy", "dense"):
+            if backend != "python":
                 self.lazy_cache = LazyConfigCache(
                     self.tables, pop_on_final=self.pop_on_final
                 )
-            elif backend == "counting":
-                self._register_specs = self._alloc_registers()
+            if backend == "counting":
+                self._registers = self._alloc_registers()
         except MemoryError as exc:
             raise AllocationFailed(
                 f"backend {backend!r} allocation failed: {exc}"
             ) from exc
-        if backend == "lazy":
-            self._scan = self._run_lazy
+        if backend == "python":
+            self._scan = self._run_python
         elif backend == "dense":
             self._scan = self._run_dense
-        else:  # python, counting
-            self._scan = self._run_python
+        elif self._registers is not None:
+            self._scan = self._run_counting
+        else:  # lazy, or counting with no registers
+            self._scan = self._run_lazy
 
-    def _alloc_registers(self) -> tuple[RegisterSpec, ...]:
-        """Compile the counting arcs into register specs, charging each
-        against ``budget`` (and the ``counting.register_pressure`` fault
-        point).  Failures surface as
-        :class:`AllocationFailed` with stage ``counting.registers`` —
-        the typed signal :class:`~repro.guard.degrade.GuardedMatcher`
-        demotes counting → lazy on."""
-        if self.counting_mfsa is None:
-            return ()
-        specs = build_register_specs(self.counting_mfsa)
-        if specs:
-            try:
-                faultinject.fire(
-                    "counting.register_pressure", registers=len(specs)
-                )
-                if self.budget is not None:
-                    self.budget.start().charge_counting_registers(len(specs))
-            except (MemoryError, CountingBudgetExceeded) as exc:
-                raise AllocationFailed(
-                    f"counting-register allocation failed: {exc}",
-                    stage="counting.registers",
-                ) from exc
-        return specs
+    def _alloc_registers(self) -> RegisterBank | None:
+        """Compile the counting arcs into a register bank, charging each
+        register against ``budget`` (and the ``counting.register_pressure``
+        fault point); ``None`` when there are no counting arcs.
+        Failures surface as :class:`AllocationFailed` with stage
+        ``counting.registers`` — the typed signal
+        :class:`~repro.guard.degrade.GuardedMatcher` demotes counting →
+        lazy on."""
+        if self.counting_mfsa is None or not self.counting_mfsa.counting:
+            return None
+        count = len(self.counting_mfsa.counting)
+        try:
+            faultinject.fire("counting.register_pressure", registers=count)
+            if self.budget is not None:
+                self.budget.start().charge_counting_registers(count)
+        except (MemoryError, CountingBudgetExceeded) as exc:
+            raise AllocationFailed(
+                f"counting-register allocation failed: {exc}",
+                stage="counting.registers",
+            ) from exc
+        return RegisterBank(self.counting_mfsa)
 
     def fork(self) -> "IMfantEngine":
         """A new engine sharing this one's (immutable) tables but owning
-        private mutable state — under ``backend="lazy"``/``"dense"``
+        private mutable state — under every backend but ``"python"``
         that is a fresh, cold cache (and no compiled tier yet).  The
         cheap way to give each worker thread its own engine without
         rebuilding the transition tables."""
@@ -271,33 +274,17 @@ class IMfantEngine:
             sp.set(matches=result.stats.match_count)
         return result
 
-    # -- python / counting backends -------------------------------------------
+    # -- python backend ---------------------------------------------------------
 
     def _run_python(self, payload: bytes, collect_stats: bool) -> RunResult:
-        """The interpretive activation step, plus counter registers for
-        the counting arcs when there are any.
-
-        Plain arcs run the activation step over the shared symbol
-        tables; under ``backend="counting"`` each counting arc is one
-        register advanced per byte (O(1) amortised, see
-        :mod:`repro.engine.counting`), its in-range activation union
-        contributed to the destination like any other transition.  With
-        zero registers (every python run, and counting over a plain
-        MFSA) the register block never runs.  With registers,
-        ``transitions_examined`` charges one evaluation per register per
-        byte and live entries join ``active_pair_total``, keeping the
-        counters honest about the bookkeeping the backend trades state
-        explosion for.
-        """
+        """The interpretive activation step over the shared symbol
+        tables: the oracle every other backend reproduces."""
         tables = self.tables
         by_symbol = tables.by_symbol
         init_mask = tables.init_mask
         final_mask = tables.final_mask
         slot_to_rule = tables.slot_to_rule
         pop_on_final = self.pop_on_final
-        specs = self._register_specs
-        num_registers = len(specs)
-        regs = RegisterFile(specs) if num_registers else None
 
         result = RunResult()
         stats = result.stats
@@ -330,20 +317,6 @@ class IMfantEngine:
                     nxt[dst] = nxt.get(dst, 0) | mask
                     if collect_stats:
                         stats.transitions_taken += 1
-            if regs is not None:
-                bit = 1 << byte
-                step = regs.step
-                for index, spec in enumerate(specs):
-                    entry_mask = 0
-                    if spec.label_mask & bit:
-                        entry_mask = (
-                            active.get(spec.src, 0) | init_mask[spec.src]
-                        ) & spec.bel_mask
-                    exit_mask = step(index, position, bit, entry_mask)
-                    if exit_mask:
-                        nxt[spec.dst] = nxt.get(spec.dst, 0) | exit_mask
-                        if collect_stats:
-                            stats.transitions_taken += 1
             active = nxt
             for state, mask in nxt.items():
                 hit = mask & final_mask[state]
@@ -356,7 +329,7 @@ class IMfantEngine:
             if self.single_match and matched_rules == all_rules_mask:
                 break
             if collect_stats:
-                stats.transitions_examined += len(enabled) + num_registers
+                stats.transitions_examined += len(enabled)
                 total = 0
                 peak = stats.max_state_activation
                 for mask in active.values():
@@ -364,8 +337,6 @@ class IMfantEngine:
                     total += n
                     if n > peak:
                         peak = n
-                if regs is not None:
-                    total += regs.live_entries()
                 stats.active_pair_total += total
                 stats.max_state_activation = peak
             if sampler is not None and position % stride == 0:
@@ -375,29 +346,10 @@ class IMfantEngine:
                     if mask:
                         width += 1
                         pairs += mask.bit_count()
-                sampler.observe(pairs, width, len(enabled) + num_registers)
+                sampler.observe(pairs, width, len(enabled))
         stats.wall_seconds = time.perf_counter() - started
         stats.chars_processed = consumed if self.single_match else len(payload)
         stats.match_count = len(matches)
-        if regs is not None:
-            registry = obs.get_registry()
-            if registry is not None:
-                registry.gauge(
-                    "imfant_counting_registers",
-                    help="counter registers held by the counting backend",
-                ).set(num_registers)
-                registry.counter(
-                    "imfant_counting_entries_total",
-                    help="activation entries pushed into counter registers",
-                ).inc(regs.entries_total)
-                registry.counter(
-                    "imfant_counting_saturations_total",
-                    help="entries saturated into unbounded-arc sticky masks",
-                ).inc(regs.saturations_total)
-                registry.gauge(
-                    "imfant_counting_live_entries_peak",
-                    help="peak live register entries observed in a scan",
-                ).set(regs.peak_live)
         return result
 
     # -- lazy backend -----------------------------------------------------------
@@ -477,6 +429,13 @@ class IMfantEngine:
         stats.chars_processed = consumed if single_match else len(payload)
         stats.match_count = len(matches)
 
+        self._record_cache(hits, misses, flushes_before)
+        return result
+
+    def _record_cache(self, hits: int, misses: int, flushes_before: int) -> None:
+        """Fold one run's cache lookups into :attr:`LazyConfigCache.stats`
+        and the ``imfant_lazy_*`` metrics (lazy, dense and counting)."""
+        cache = self.lazy_cache
         cache.stats.hits += hits
         cache.stats.misses += misses
         registry = obs.get_registry()
@@ -497,6 +456,142 @@ class IMfantEngine:
                 "imfant_lazy_distinct_configs",
                 help="distinct frontier configurations currently interned",
             ).set(cache.num_configs)
+
+    # -- counting backend -------------------------------------------------------
+
+    def _run_counting(self, payload: bytes, collect_stats: bool) -> RunResult:
+        """The lazy-cached plain step plus counter registers.
+
+        Per byte: the plain arcs' successor comes from the lazy cache
+        (as in :meth:`_run_lazy`); registers that hold or receive an
+        entry advance (:meth:`RegisterFile.advance`); their exits are
+        ORed into the successor, final bits emitted, and the merged
+        frontier interned.  Exits recur on the same successor within a
+        payload, so a per-run ``(successor, exits)`` memo skips
+        re-merging; a cache flush renumbers config ids and clears it.
+        ``transitions_examined`` still charges every register on every
+        byte and live entries join ``active_pair_total``.
+        """
+        cache = self.lazy_cache
+        bank = self._registers
+        assert cache is not None and bank is not None
+        tables = self.tables
+        final_mask = tables.final_mask
+        slot_to_rule = tables.slot_to_rule
+        transitions = cache.transitions
+        step = cache.step
+        configs = cache.configs
+        config_stats = cache.config_stats
+        examined_by_byte = cache.examined_by_byte
+        intern = cache.config_id_of
+        single_match = self.single_match
+        num_registers = len(bank)
+        regs = RegisterFile(bank)
+        advance = regs.advance
+
+        result = RunResult()
+        stats = result.stats
+        stats.mask_limbs = limbs_for(tables.num_rules)
+        matches = result.matches
+        for rule in tables.empty_matching_rules:
+            matches.update((rule, end) for end in range(len(payload) + 1))
+
+        all_rules_mask = (1 << tables.num_rules) - 1
+        rule_to_slot = {rule: slot for slot, rule in enumerate(slot_to_rule)}
+        matched_rules = 0
+        for rule in tables.empty_matching_rules:
+            matched_rules |= 1 << rule_to_slot[rule]
+        consumed = 0
+        hits = misses = 0
+        peak_live = 0
+        flushes_before = cache.stats.flushes
+        sampler = obs.engine_sampler("imfant")
+        stride = sampler.stride if sampler is not None else 0
+        dstride = counters.DEADLINE_STRIDE
+        started = time.perf_counter()
+        deadline_at = self._deadline_at(started)
+        merges: dict[tuple, tuple[int, int]] = {}
+        flushes = flushes_before
+        cur = 0  # config id 0 == empty frontier
+        for position, byte in enumerate(payload, start=1):
+            consumed = position
+            if deadline_at is not None and position % dstride == 0:
+                self._deadline_check(deadline_at, started, consumed, result)
+            # read the frontier before a miss can flush and renumber it
+            frontier = configs[cur]
+            entry = transitions.get((cur << 8) | byte)
+            if entry is None:
+                entry = step(cur, byte)
+                misses += 1
+                if cache.stats.flushes != flushes:
+                    flushes = cache.stats.flushes
+                    merges.clear()
+            else:
+                hits += 1
+            cur = entry[0]
+            taken = entry[3]
+            if entry[2]:
+                matched_rules |= entry[2]
+                for slot in entry[1]:
+                    matches.add((slot_to_rule[slot], position))
+            exits = advance(position, byte, frontier)
+            if exits:
+                key = (cur, *exits)
+                merge = merges.get(key)
+                if merge is None:
+                    merged = dict(configs[cur])
+                    hit = 0
+                    for dst, mask in exits:
+                        merged[dst] = merged.get(dst, 0) | mask
+                        hit |= mask & final_mask[dst]
+                    if len(merges) >= cache.max_entries:
+                        merges.clear()
+                    merge = merges[key] = (intern(merged), hit)
+                cur, hit = merge
+                taken += len(exits)
+                if hit:
+                    matched_rules |= hit
+                    for slot in iter_bits(hit):
+                        matches.add((slot_to_rule[slot], position))
+            if collect_stats:
+                stats.transitions_taken += taken
+            if single_match and matched_rules == all_rules_mask:
+                break
+            live = regs.live
+            if live > peak_live:
+                peak_live = live
+            if collect_stats:
+                stats.transitions_examined += examined_by_byte[byte] + num_registers
+                total, peak, _ = config_stats[cur]
+                stats.active_pair_total += total + live
+                if peak > stats.max_state_activation:
+                    stats.max_state_activation = peak
+            if sampler is not None and position % stride == 0:
+                total, _, width = config_stats[cur]
+                sampler.observe(total, width, examined_by_byte[byte] + num_registers)
+        stats.wall_seconds = time.perf_counter() - started
+        stats.chars_processed = consumed if single_match else len(payload)
+        stats.match_count = len(matches)
+
+        self._record_cache(hits, misses, flushes_before)
+        registry = obs.get_registry()
+        if registry is not None:
+            registry.gauge(
+                "imfant_counting_registers",
+                help="counter registers held by the counting backend",
+            ).set(num_registers)
+            registry.counter(
+                "imfant_counting_entries_total",
+                help="activation entries pushed into counter registers",
+            ).inc(regs.entries_total)
+            registry.counter(
+                "imfant_counting_saturations_total",
+                help="entries saturated into unbounded-arc sticky masks",
+            ).inc(regs.saturations_total)
+            registry.gauge(
+                "imfant_counting_live_entries_peak",
+                help="peak live register entries observed in a scan",
+            ).set(peak_live)
         return result
 
     # -- dense backend ----------------------------------------------------------

@@ -127,6 +127,12 @@ class LazyConfigCache:
         """Distinct frontier configurations currently interned."""
         return len(self._configs)
 
+    @property
+    def configs(self) -> list[_Config]:
+        """Config id → frozen ``(state, mask)`` pairs (read-only; a flush
+        clears it in place, so a hot-loop reference stays valid)."""
+        return self._configs
+
     def config_id_of(self, active: dict[int, int]) -> int:
         """Intern an explicit frontier dict (id 0 == empty frontier)."""
         return self._intern(tuple(sorted((s, m) for s, m in active.items() if m)))

@@ -76,51 +76,3 @@ class TestAutotune:
         for mfsa in baseline.mfsas:
             expected |= IMfantEngine(mfsa).run(sample).matches
         assert got == expected
-
-
-class TestChooseBackend:
-    """Measured backend selection over the ladder."""
-
-    @staticmethod
-    def _compiled(name):
-        from repro.cli import _demo_stream
-        from repro.datasets import load_builtin
-
-        patterns = list(load_builtin(name).patterns)
-        compiled = compile_ruleset(patterns, CompileOptions(emit_anml=False))
-        assert len(compiled.mfsas) == 1
-        return compiled.mfsas[0], _demo_stream(patterns, 8192)
-
-    def test_report_structure_and_best_is_fastest(self):
-        from repro.pipeline.autotune import choose_backend
-
-        mfsa, sample = self._compiled("tokens_exact")
-        report = choose_backend(mfsa, sample, repeats=1)
-        assert report.sample_bytes == len(sample)
-        assert {c.backend for c in report.candidates} == {
-            "dense", "lazy", "python",
-        }
-        timed = [c for c in report.candidates if c.measured_seconds is not None]
-        assert report.best in timed
-        assert report.best.measured_seconds == min(
-            c.measured_seconds for c in timed
-        )
-        assert report.best.throughput is not None
-        assert all(c.modelled_cost > 0 for c in report.candidates)
-
-    def test_backend_run_cost_rejects_unknown_backend(self):
-        from repro.engine.cost import CostModel
-        from repro.engine.counters import ExecutionStats
-
-        with pytest.raises(ValueError):
-            CostModel().backend_run_cost(ExecutionStats(), "fortran")
-
-    def test_render_marks_selection(self):
-        from repro.pipeline.autotune import choose_backend
-
-        mfsa, sample = self._compiled("tokens_exact")
-        report = choose_backend(mfsa, sample, backends=("lazy", "python"),
-                                repeats=1)
-        text = report.render()
-        assert "<- selected" in text
-        assert "lazy" in text and "python" in text

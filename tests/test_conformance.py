@@ -4,8 +4,8 @@ The differential property tests (tests/test_differential.py) fuzz small
 random rulesets; this suite pins down the *curated* surface instead —
 every builtin ruleset, every iMFAnt backend (python / lazy / dense —
 the last both cold and with its compiled tier force-promoted —
-plus counting, which on plain automata degenerates to the interpretive
-scan with zero registers) and the sharded serving path must report
+plus counting, which on plain automata has zero registers and scans on
+the lazy loop) and the sharded serving path must report
 byte-identical results:
 
 * identical ``(rule, end)`` match sets;

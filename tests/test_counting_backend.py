@@ -14,6 +14,9 @@ loop-expanded pipeline over the *same* patterns is an independent oracle
   the sequential scan;
 * mid-scan deadlines surface sound partial results, never corruption;
 * ``single_match`` = first (min-end) match per rule;
+* the cached scan loop: a lazy cache that flushes on every miss changes
+  nothing, the work counters of a fixed scan stay pinned, and a compile
+  with no registers left scans on the lazy loop with python's counters;
 * exact JSON round trips of counting automata;
 * the headline capability: a ``[^\\n]{1000}``-style repeat compiles
   under a state budget that makes the expansion pipeline refuse, with
@@ -31,6 +34,7 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.engine.chunkscan import chunk_scan, mfsa_max_width
 from repro.engine.imfant import IMfantEngine
+from repro.guard import faultinject
 from repro.guard.budget import Budget
 from repro.guard.errors import BudgetExceeded, ScanDeadlineExceeded
 from repro.mfsa import serialize
@@ -77,6 +81,13 @@ def _compile_counting(patterns, threshold: int = 2):
 
 def _compile_expanded(patterns):
     return compile_ruleset(patterns, CompileOptions(emit_anml=False)).mfsas
+
+
+def _counters(stats) -> dict:
+    """Every ExecutionStats field but the wall-clock one."""
+    counters = stats.as_dict()
+    counters.pop("wall_seconds")
+    return counters
 
 
 def _matches(mfsas, payload, backend: str = "python", **kwargs) -> set:
@@ -165,13 +176,69 @@ def test_serialize_round_trip(patterns):
 
 
 # ---------------------------------------------------------------------------
+# The cached scan loop
+# ---------------------------------------------------------------------------
+
+
+@given(
+    patterns=rulesets(),
+    text=texts(),
+    cache_size=st.sampled_from([1, 4, 32]),
+)
+@settings(max_examples=40, deadline=None)
+def test_flushing_cache_equals_expanded_oracle(patterns, text, cache_size):
+    """A tiny lazy cache flushes mid-scan and renumbers the configs (a
+    one-entry cache on every miss); the registers must still read the
+    pre-step frontier and no merge may outlive its config ids."""
+    expanded = _matches(_compile_expanded(patterns), text)
+    counting = _compile_counting(patterns)
+    with faultinject.inject("lazy.cache_pressure", cache_size):
+        assert _matches(counting, text, "counting") == expanded
+
+
+def test_counters_golden():
+    """The work counters of one fixed counting scan stay pinned: every
+    register is charged on every byte, and live register entries count
+    as active pairs."""
+    patterns = ["ab{3,9}c", "x[0-9]{2,}y", "[ab]{4}z", "[0-9]{3,5}-[0-9]{2,4}"]
+    (mfsa,) = _compile_counting(patterns)
+    assert len(mfsa.counting) == 5
+    payload = b"zabbbbc x12y ababz 123-4567 abbbbbbbbbbc x1234567y 99999-999 " * 4
+    stats = IMfantEngine(mfsa, backend="counting").run(payload).stats
+    assert _counters(stats) == {
+        "chars_processed": 244,
+        "transitions_examined": 1276,
+        "transitions_taken": 224,
+        "active_pair_total": 828,
+        "max_state_activation": 1,
+        "match_count": 36,
+        "mask_limbs": 1,
+    }
+
+
+def test_register_free_compile_runs_the_lazy_loop():
+    """Nothing clears the threshold: counting scans on the lazy cache,
+    with the python backend's matches and counters."""
+    (mfsa,) = _compile_counting(["ab{2,3}c", "xy"], threshold=64)
+    payload = b"zabbcxyz abbbc xy" * 8
+    engine = IMfantEngine(mfsa, backend="counting")
+    assert engine.lazy_cache is not None
+    engine.run(payload)
+    hits = engine.lazy_cache.stats.hits
+    result = engine.run(payload)
+    assert engine.lazy_cache.stats.hits > hits
+    oracle = IMfantEngine(mfsa, backend="python").run(payload)
+    assert result.matches == oracle.matches
+    assert _counters(result.stats) == _counters(oracle.stats)
+
+
+# ---------------------------------------------------------------------------
 # Deadlines and partial results
 # ---------------------------------------------------------------------------
 
 
 def test_mid_scan_deadline_yields_sound_partial(monkeypatch):
     from repro.engine import counters
-    from repro.guard import faultinject
 
     mfsas = _compile_counting(["ab{3,9}c", "x[0-9]{2,}y"], threshold=2)
     payload = b"zabbbbc x12y " * 256
@@ -218,7 +285,7 @@ def test_large_bound_compiles_where_expansion_refuses():
 def test_below_threshold_drops_to_plain():
     """Repeats under the threshold expand as before — the compile
     returns plain MFSAs and the counting backend degenerates to the
-    interpretive scan."""
+    lazy scan."""
     patterns = ["ab{2,3}c", "xy"]
     mfsas = _compile_counting(patterns, threshold=64)
     assert all(not getattr(m, "counting", ()) for m in mfsas)
@@ -247,3 +314,16 @@ def test_counting_metrics_emitted():
     } <= names
     gauge = cap.registry.get("imfant_counting_registers")
     assert gauge.snapshot()["value"] >= 1
+
+
+def test_live_entries_peak_without_stats():
+    """The peak is tracked from the running live-entry total on every
+    byte, not only when per-byte stats are collected."""
+    mfsas = _compile_counting(["ab{3,9}c"], threshold=3)
+    with obs.capture() as cap:
+        for mfsa in mfsas:
+            IMfantEngine(mfsa, backend="counting").run(
+                b"zabbbbc" * 16, collect_stats=False
+            )
+    peak = cap.registry.get("imfant_counting_live_entries_peak")
+    assert peak.snapshot()["value"] >= 1

@@ -63,7 +63,7 @@ def test_all_engines_agree(data):
     # 3. iMFAnt at several merging factors (all four backends; lazy
     #    exercising its config-cache memoization, dense running cold —
     #    i.e. through the same lazy path under the dense driver — and
-    #    counting in its zero-register degenerate mode on plain MFSAs)
+    #    counting on plain MFSAs, where zero registers mean the lazy loop)
     for m in (1, 2, 0):
         mfsas = merge_ruleset(fsas, m)
         for backend in ("python", "lazy", "dense", "counting"):
