@@ -8,7 +8,7 @@ fault drills one window at a time:
 * ``conn_drop``       — ``serve.conn.drop``: replies dropped before the
   write; clients must reconnect and be answered from the dedup window;
 * ``frame_truncate``  — ``serve.frame.truncate``: torn reply frames;
-* ``worker_kill``     — process-mode shard workers SIGKILLed mid-soak
+* ``worker_kill``     — shard worker processes SIGKILLed mid-soak
   (the external OOM-killer form of ``serve.worker.kill``); the
   supervisor restarts them, a storm opens the breaker, scans continue
   inline;
@@ -226,7 +226,7 @@ def _hang_drill(artifact, payload: bytes, oracle: frozenset,
     the budget and rescue the chunks inline, exactly."""
     faultinject.arm("serve.worker.hang", 30.0)
     try:
-        with ShardPool(artifact, num_shards=2, mode="process") as pool:
+        with ShardPool(artifact, num_shards=2) as pool:
             started = time.perf_counter()
             result = pool.scan(payload, deadline=deadline)
             elapsed = time.perf_counter() - started
@@ -253,7 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ruleset", default=DEFAULT_RULESET,
                         help="builtin ruleset name (default %(default)s)")
     parser.add_argument("--payload-bytes", type=int, default=4096, metavar="N")
-    parser.add_argument("--shards", type=int, default=2, metavar="N")
+    parser.add_argument("--shards", type=int, default=2, metavar="N",
+                        help="jobs per payload; the worker_kill drill needs "
+                             "worker processes, so N >= 2 (default 2)")
     parser.add_argument("--clients", type=int, default=4, metavar="N")
     parser.add_argument("--window", type=float, default=4.0, metavar="SECONDS",
                         help="traffic seconds per drill (default 4)")
@@ -265,6 +267,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(the CI form)")
     args = parser.parse_args(argv)
 
+    if args.shards < 2:
+        parser.error("--shards must be >= 2: the soak drills worker processes")
     if args.smoke:
         args.window, args.clients = 1.0, 2
 
@@ -287,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config = ServeConfig(
             shards=args.shards, batch_max=8, queue_depth=256,
-            mode="process", metrics=True, heartbeat_interval=0.25,
+            metrics=True, heartbeat_interval=0.25,
         )
         server = ServerThread(artifact, config, store=store).start()
         try:

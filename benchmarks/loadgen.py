@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -54,7 +55,7 @@ DEFAULT_RULESET = "tokens_exact"  # bounded match width -> the pool really shard
 QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99))
 
 CSV_COLUMNS = [
-    "arrival", "mode", "payload_bytes", "shards", "clients", "requests",
+    "arrival", "payload_bytes", "shards", "clients", "requests",
     "seconds", "requests_per_second", "payload_mb_per_second",
     "p50_ms", "p90_ms", "p95_ms", "p99_ms", "max_ms",
     "server_queue_wait_p95_ms", "server_scan_p95_ms",
@@ -125,7 +126,7 @@ def _client_worker(
 
 def run_configuration(
     artifact, payload: bytes, oracle, *, shards: int, clients: int,
-    requests: int, warmup: int, mode: str, arrival: str, rate: float,
+    requests: int, warmup: int, arrival: str, rate: float,
 ) -> dict:
     """One (shards, clients, payload) point: start a server, drive it."""
     per_client = max(1, requests // clients)
@@ -133,7 +134,6 @@ def run_configuration(
         shards=shards,
         batch_max=8,
         queue_depth=max(64, per_client * clients),
-        mode=mode,
         metrics=True,
     )
     with ServerThread(artifact, config) as address:
@@ -154,7 +154,6 @@ def run_configuration(
     completed = len(latencies)
     row = {
         "arrival": arrival,
-        "mode": mode,
         "payload_bytes": len(payload),
         "shards": shards,
         "clients": clients,
@@ -193,7 +192,7 @@ def write_csv(rows: list[dict], path: Path) -> None:
         for row in rows:
             server = row.get("server_latency_ms") or {}
             writer.writerow([
-                row["arrival"], row["mode"], row["payload_bytes"],
+                row["arrival"], row["payload_bytes"],
                 row["shards"], row["clients"], row["requests"],
                 f"{row['seconds']:.6f}",
                 f"{row['requests_per_second']:.3f}",
@@ -248,7 +247,10 @@ def bench_report(rows: list[dict], ruleset: str, baseline_seconds: float,
         "note": "served throughput includes sockets, framing, queueing and "
                 "batch coalescing; latency_ms percentiles are per-request "
                 "client-observed round trips; correctness asserted per "
-                "connection against the single-process oracle",
+                "connection against the single-process oracle; shards 1 "
+                "scans each payload in process, shards N > 1 splits it into "
+                "N jobs over min(N, usable_cpus) worker processes",
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "results": [
             {
                 "shards": r["shards"],
@@ -280,7 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ruleset", default=DEFAULT_RULESET,
                         help="builtin ruleset name (default %(default)s)")
     parser.add_argument("--shards", type=_int_list, default=[1, 2, 4],
-                        metavar="N,N,…", help="shard counts (default 1,2,4)")
+                        metavar="N,N,…",
+                        help="shard counts: 1 scans in process, N > 1 over "
+                             "N jobs on worker processes (default 1,2,4)")
     parser.add_argument("--clients", type=_int_list, default=[1, 4, 8],
                         metavar="N,N,…", help="client counts (default 1,4,8)")
     parser.add_argument("--payload-bytes", type=_int_list, default=[16384],
@@ -289,7 +293,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="measured requests per configuration (default 64)")
     parser.add_argument("--warmup", type=int, default=8, metavar="N",
                         help="unmeasured warmup requests per client (default 8)")
-    parser.add_argument("--mode", choices=("thread", "process"), default="thread")
     parser.add_argument("--arrival", choices=("closed", "open"), default="closed",
                         help="closed: next request when the last completes; "
                              "open: fixed schedule, latency from scheduled send")
@@ -329,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                         artifact, payloads[size], oracles[size],
                         shards=shards, clients=clients,
                         requests=args.requests, warmup=args.warmup,
-                        mode=args.mode, arrival=args.arrival, rate=args.rate,
+                        arrival=args.arrival, rate=args.rate,
                     )
                     rows.append(row)
                     lat = row["latency_ms"]

@@ -594,8 +594,7 @@ def obs_top_main(argv: list[str] | None = None) -> int:
             server = stats.get("server", {})
             print(f"-- repro serve @ "
                   f"{address if isinstance(address, str) else ':'.join(map(str, address))} "
-                  f"backend={server.get('backend')} mode={server.get('mode')} "
-                  f"shards={server.get('shards')}")
+                  f"backend={server.get('backend')} shards={server.get('shards')}")
             print(f"   requests={server.get('requests_handled', 0)} "
                   f"rejected={server.get('requests_rejected', 0)} "
                   f"partial={server.get('requests_partial', 0)} "
@@ -820,8 +819,9 @@ def serve_main(argv: list[str] | None = None) -> int:
 def _serve_run_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve a compiled ruleset over TCP/UNIX socket with a "
-                    "sharded worker pool (see docs/serving.md).",
+        description="Serve a compiled ruleset over TCP/UNIX socket, scanning "
+                    "in process or over --shards worker processes "
+                    "(see docs/serving.md).",
     )
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--ruleset", type=Path, help="ruleset file, one ERE per line")
@@ -837,16 +837,15 @@ def _serve_run_main(argv: list[str]) -> int:
     parser.add_argument("--host", type=str, default="127.0.0.1",
                         help="TCP bind address (default 127.0.0.1)")
     sizing = parser.add_argument_group("sizing")
-    sizing.add_argument("--shards", type=int, default=2, metavar="N",
-                        help="shard-pool workers per payload (default 2)")
+    sizing.add_argument("--shards", type=int, default=1, metavar="N",
+                        help="jobs per payload: 1 scans in process (default); "
+                             "N > 1 splits each payload over worker processes "
+                             "that load the cached artifact")
     sizing.add_argument("--batch-max", type=int, default=8, metavar="N",
                         help="max requests coalesced per dispatch cycle (default 8)")
     sizing.add_argument("--queue-depth", type=int, default=64, metavar="N",
                         help="bounded request queue; full -> 429-style reject "
                              "(default 64)")
-    parser.add_argument("--mode", choices=("thread", "process"), default="thread",
-                        help="shard workers in-process (thread) or forked worker "
-                             "processes loading the cached artifact (process)")
     parser.add_argument("--backend",
                         choices=("dense", "lazy", "python", "counting"),
                         default="lazy")
@@ -867,20 +866,11 @@ def _serve_run_main(argv: list[str]) -> int:
                             help="CoDel-style admission control: shed new "
                                  "requests while the minimum queue wait stays "
                                  "above this (default: off)")
-    resilience.add_argument("--admission-window", type=float, default=1.0,
-                            metavar="SECONDS",
-                            help="sliding interval for the admission wait "
-                                 "floor (default 1s)")
     resilience.add_argument("--heartbeat", type=float, default=None,
                             metavar="SECONDS",
                             help="probe a shard worker every N seconds and "
                                  "restart dead/hung executors between "
                                  "requests (default: off)")
-    resilience.add_argument("--dedup-ttl", type=float, default=30.0,
-                            metavar="SECONDS",
-                            help="how long completed responses stay "
-                                 "replayable for idempotent retries "
-                                 "(default 30s)")
     parser.add_argument("--trace-requests", action="store_true",
                         help="record per-request span trees (queue-wait/scan/"
                              "frame) and honour clients' ship_spans flag")
@@ -912,14 +902,11 @@ def _serve_run_main(argv: list[str]) -> int:
             batch_max=args.batch_max,
             queue_depth=args.queue_depth,
             backend=args.backend,
-            mode=args.mode,
             default_deadline=args.deadline,
             allow_shutdown=not args.no_shutdown_op,
             allow_reload=not args.no_reload_op,
             admission_target=args.admission_target,
-            admission_window=args.admission_window,
             heartbeat_interval=args.heartbeat,
-            dedup_ttl=args.dedup_ttl,
             metrics=not args.no_metrics,
             trace_requests=args.trace_requests,
         )
@@ -935,8 +922,8 @@ def _serve_run_main(argv: list[str]) -> int:
             shown = address if isinstance(address, str) else f"{address[0]}:{address[1]}"
             print(f"serving on {shown} "
                   f"(shards={config.shards} batch_max={config.batch_max} "
-                  f"queue_depth={config.queue_depth} backend={config.backend} "
-                  f"mode={config.mode}) — Ctrl-C to stop", flush=True)
+                  f"queue_depth={config.queue_depth} backend={config.backend}) "
+                  f"— Ctrl-C to stop", flush=True)
             await server.serve_until_stopped()
 
         try:

@@ -274,6 +274,19 @@ class IMfantEngine:
             sp.set(matches=result.stats.match_count)
         return result
 
+    def _start_run(self, payload: bytes) -> tuple[RunResult, int, int]:
+        """The prologue every scan loop shares, once per run: a fresh
+        result holding the ε-rules' match at every offset, the mask of
+        all rule slots, and the slots those ε-rules have matched."""
+        tables = self.tables
+        result = RunResult()
+        result.stats.mask_limbs = limbs_for(tables.num_rules)
+        matched_rules = 0
+        for rule in tables.empty_matching_rules:
+            result.matches.update((rule, end) for end in range(len(payload) + 1))
+            matched_rules |= 1 << tables.slot_to_rule.index(rule)
+        return result, (1 << tables.num_rules) - 1, matched_rules
+
     # -- python backend ---------------------------------------------------------
 
     def _run_python(self, payload: bytes, collect_stats: bool) -> RunResult:
@@ -286,18 +299,9 @@ class IMfantEngine:
         slot_to_rule = tables.slot_to_rule
         pop_on_final = self.pop_on_final
 
-        result = RunResult()
+        result, all_rules_mask, matched_rules = self._start_run(payload)
         stats = result.stats
-        stats.mask_limbs = limbs_for(tables.num_rules)
         matches = result.matches
-        for rule in tables.empty_matching_rules:
-            matches.update((rule, end) for end in range(len(payload) + 1))
-
-        all_rules_mask = (1 << tables.num_rules) - 1
-        rule_to_slot = {rule: slot for slot, rule in enumerate(slot_to_rule)}
-        matched_rules = 0
-        for rule in tables.empty_matching_rules:
-            matched_rules |= 1 << rule_to_slot[rule]
         consumed = 0
         sampler = obs.engine_sampler("imfant")
         stride = sampler.stride if sampler is not None else 0
@@ -373,18 +377,9 @@ class IMfantEngine:
         examined_by_byte = cache.examined_by_byte
         single_match = self.single_match
 
-        result = RunResult()
+        result, all_rules_mask, matched_rules = self._start_run(payload)
         stats = result.stats
-        stats.mask_limbs = limbs_for(tables.num_rules)
         matches = result.matches
-        for rule in tables.empty_matching_rules:
-            matches.update((rule, end) for end in range(len(payload) + 1))
-
-        all_rules_mask = (1 << tables.num_rules) - 1
-        rule_to_slot = {rule: slot for slot, rule in enumerate(slot_to_rule)}
-        matched_rules = 0
-        for rule in tables.empty_matching_rules:
-            matched_rules |= 1 << rule_to_slot[rule]
         consumed = 0
         hits = misses = 0
         flushes_before = cache.stats.flushes
@@ -489,18 +484,9 @@ class IMfantEngine:
         regs = RegisterFile(bank)
         advance = regs.advance
 
-        result = RunResult()
+        result, all_rules_mask, matched_rules = self._start_run(payload)
         stats = result.stats
-        stats.mask_limbs = limbs_for(tables.num_rules)
         matches = result.matches
-        for rule in tables.empty_matching_rules:
-            matches.update((rule, end) for end in range(len(payload) + 1))
-
-        all_rules_mask = (1 << tables.num_rules) - 1
-        rule_to_slot = {rule: slot for slot, rule in enumerate(slot_to_rule)}
-        matched_rules = 0
-        for rule in tables.empty_matching_rules:
-            matched_rules |= 1 << rule_to_slot[rule]
         consumed = 0
         hits = misses = 0
         peak_live = 0
@@ -728,18 +714,9 @@ class IMfantEngine:
         slot_to_rule = tables.slot_to_rule
         single_match = self.single_match
 
-        result = RunResult()
+        result, all_rules_mask, matched_rules = self._start_run(payload)
         stats = result.stats
-        stats.mask_limbs = limbs_for(tables.num_rules)
         matches = result.matches
-        for rule in tables.empty_matching_rules:
-            matches.update((rule, end) for end in range(len(payload) + 1))
-
-        all_rules_mask = (1 << tables.num_rules) - 1
-        rule_to_slot = {rule: slot for slot, rule in enumerate(slot_to_rule)}
-        matched_rules = 0
-        for rule in tables.empty_matching_rules:
-            matched_rules |= 1 << rule_to_slot[rule]
         sampler = obs.engine_sampler("imfant")
         started = time.perf_counter()
         deadline_at = self._deadline_at(started)

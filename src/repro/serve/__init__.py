@@ -6,11 +6,13 @@ The serving layer on top of the compile→match pipeline (docs/serving.md):
   rulesets (:class:`ArtifactStore`): compile once, every later start —
   and every worker process — loads the MFSAs via
   :mod:`repro.mfsa.serialize` instead of recompiling;
-* :mod:`repro.serve.shards` — :class:`ShardPool`, data-parallel payload
-  scanning under chunkscan's scan plan (overlap/stitch or SFA mappings,
-  chosen from the compiled automaton), per-worker
-  :meth:`~repro.engine.imfant.IMfantEngine.fork` engines, deadline-
-  bounded partial results and the guard backend-degradation ladder;
+* :mod:`repro.serve.shards` — :class:`ShardPool`: one in-process scan
+  per payload over per-thread
+  :meth:`~repro.engine.imfant.IMfantEngine.fork` engines, or data-
+  parallel jobs on worker processes under chunkscan's scan plan
+  (overlap/stitch or SFA mappings, chosen from the compiled automaton);
+  deadline-bounded partial results and the guard backend-degradation
+  ladder;
 * :mod:`repro.serve.protocol` — length-prefixed JSON frames with
   HTTP-flavoured status codes (200 ok / 206 partial / 429 rejected);
 * :mod:`repro.serve.server` — the asyncio front door: request batching

@@ -2,7 +2,7 @@
 
 The resident matching service (Figs. 9–10 at service scale): one
 process accepts length-prefixed JSON requests over TCP or a UNIX
-socket, coalesces them into batches, and fans each payload out over the
+socket, coalesces them into batches, and hands each payload to the
 :class:`~repro.serve.shards.ShardPool`.  The design goals, in order:
 
 1. **Never hang.**  Every match request runs under a per-request
@@ -20,8 +20,9 @@ socket, coalesces them into batches, and fans each payload out over the
    done-callback restarts the loop if a bug escapes anyway.
 3. **Batch the front, shard the back.**  The dispatcher drains up to
    ``batch_max`` queued requests per cycle and scans them concurrently
-   — shard workers interleave across the batch, so one giant payload
-   does not serialize the queue behind it.
+   — each on its own thread, over that thread's engine forks (or, with
+   ``shards > 1``, as jobs on the worker processes), so one giant
+   payload does not serialize the queue behind it.
 4. **Observable.**  Queue-depth gauge, request/reject/partial counters,
    batch-size and queue-wait histograms, per-shard throughput (via the
    pool) — all on the active :mod:`repro.obs` registry, exportable with
@@ -78,22 +79,27 @@ _log = logging.getLogger("repro.serve")
 #: *service-owned* tracer after each batch (bounds memory on
 #: long-running servers)
 _TRACE_MAX_AGE = 60.0
+#: sliding interval (seconds) over which the admission controller takes
+#: its queue-wait floor
+_ADMISSION_WINDOW = 1.0
+#: how long (seconds) a completed response stays replayable for an
+#: idempotent retry carrying the same ``request_key``
+_DEDUP_TTL = 30.0
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Sizing and behaviour knobs for one service instance."""
 
-    #: shard-pool workers per payload
-    shards: int = 2
+    #: jobs per payload: 1 scans in process on the request's thread;
+    #: N > 1 splits each payload over N jobs on worker processes that
+    #: load the artifact from disk
+    shards: int = 1
     #: max requests coalesced into one dispatch cycle
     batch_max: int = 8
     #: bounded request-queue depth; a full queue rejects (429-style)
     queue_depth: int = 64
     backend: str = "lazy"
-    #: "thread" (in-process workers) or "process" (forked workers that
-    #: load the artifact from disk)
-    mode: str = "thread"
     #: default per-request wall-clock deadline in seconds (None = none);
     #: a request's ``deadline_ms`` overrides it
     default_deadline: Optional[float] = None
@@ -104,14 +110,9 @@ class ServeConfig:
     #: the service to compile the incoming patterns)
     allow_reload: bool = True
     #: CoDel-style admission target in seconds: shed new requests while
-    #: the *minimum* queue wait over ``admission_window`` stays above
-    #: this (None = admission control off)
+    #: the *minimum* queue wait over the last second stays above this
+    #: (None = admission control off)
     admission_target: Optional[float] = None
-    #: sliding interval for the admission controller's wait floor
-    admission_window: float = 1.0
-    #: how long a completed response stays replayable for an idempotent
-    #: retry carrying the same ``request_key``
-    dedup_ttl: float = 30.0
     #: period of the background worker heartbeat probe (None = off);
     #: catches dead/wedged executors between requests instead of on the
     #: first victim request
@@ -197,11 +198,10 @@ class MatchService:
         #: which ruleset the workers run)
         self.supervisor = ShardSupervisor()
         self.pool = self._build_pool(artifact)
-        self.dedup = DedupWindow(ttl=self.config.dedup_ttl)
+        self.dedup = DedupWindow(ttl=_DEDUP_TTL)
         self.admission: Optional[AdmissionController] = (
             AdmissionController(
-                target=self.config.admission_target,
-                window=self.config.admission_window,
+                target=self.config.admission_target, window=_ADMISSION_WINDOW
             )
             if self.config.admission_target is not None
             else None
@@ -228,7 +228,6 @@ class MatchService:
             artifact,
             num_shards=self.config.shards,
             backend=self.config.backend,
-            mode=self.config.mode,
             supervisor=self.supervisor,
         )
 
@@ -776,7 +775,6 @@ class MatchService:
             "mfsas": len(self.artifact.mfsas),
             "loaded_from_cache": self.artifact.loaded_from_cache,
             "backend": self.pool.backend,
-            "mode": self.pool.mode,
             "shards": self.config.shards,
             "batch_max": self.config.batch_max,
             "queue_depth": self.config.queue_depth,

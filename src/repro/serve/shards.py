@@ -1,43 +1,45 @@
-"""The shard pool: one payload, many workers, exact stitching.
+"""The shard pool: one payload, exact answers, optional worker processes.
 
 Figs. 9–10 parallelise across automata; :mod:`repro.engine.chunkscan`
 parallelises one automaton across stream chunks.  The serve layer needs
 the chunk axis as a *resident* facility — workers that outlive requests,
 own their engines, and scan whatever payload slice the planner hands
-them — so :class:`ShardPool` runs chunkscan's plan over long-lived
-workers:
+them.  CPython threads never scan at the same time, so only worker
+processes split a payload; ``num_shards`` alone picks the path:
 
-* **Planning** — the artifact's automata choose the plan once
-  (:func:`~repro.engine.chunkscan.resolve_strategy`): overlap jobs with
-  a per-rule width lead, zero-lead SFA mapping jobs when some rule is
-  unbounded, or one sequential job when live counter registers meet an
-  unbounded rule.  :func:`~repro.engine.chunkscan.plan_shards` cuts the
-  payload.
+* **In process** (``num_shards == 1``, the default) — the whole payload
+  is one job on the calling thread, over that thread's byte-engine
+  forks (:meth:`IMfantEngine.fork` clones: shared immutable tables,
+  private lazy caches, kept in a thread-local so concurrent requests
+  share no lock and no cache).  No executor, no split, no SFA scanner,
+  whatever plan the automata would admit.
+* **Planning** (``num_shards > 1``) — the artifact's automata choose
+  the plan once (:func:`~repro.engine.chunkscan.resolve_strategy`):
+  overlap jobs with a per-rule width lead, zero-lead SFA mapping jobs
+  when some rule is unbounded, or one sequential job when live counter
+  registers meet an unbounded rule.
+  :func:`~repro.engine.chunkscan.plan_shards` cuts the payload into
+  ``num_shards`` jobs, run by at most one forked worker process per
+  usable CPU; each worker *loads* the compiled artifact from the
+  :class:`~repro.serve.artifacts.ArtifactStore` instead of recompiling
+  and runs the plan's per-segment scan (:func:`_process_scan`).  No
+  tuning travels to the workers: engines and scanners run at their own
+  constants (cache bound, deadline-check stride), so a worker is
+  initialised from the artifact path, the backend and the plan alone.
 * **Stitching** — overlap jobs re-base through
   :func:`~repro.engine.chunkscan.rebase_matches`; mapping jobs fold per
   MFSA through :func:`~repro.engine.sfa.fold_mappings`, which threads
   exit activations through the shards in payload order (workers finish
   in any order — composition does not care).
-* **Workers** — one entry point per mode, :meth:`ShardPool._thread_scan`
-  and :func:`_process_scan`, running the scan the plan picked: byte
-  engines (:meth:`IMfantEngine.fork` clones — shared immutable tables,
-  private lazy caches) or the shared, immutable SFA scanners.
-  ``mode="thread"`` keeps workers in-process; ``mode="process"`` runs
-  them in forked worker processes that *load* the compiled artifact
-  from the :class:`~repro.serve.artifacts.ArtifactStore` instead of
-  recompiling.  No tuning travels to the workers: engines and scanners
-  run at their own constants (cache bound, deadline-check stride), so
-  a process worker is initialised from the artifact path, the backend
-  and the plan alone.
 * **Degradation** — an :class:`~repro.guard.errors.AllocationFailed`
-  while building worker engines steps the pool down the
+  while building engines steps the pool down the
   :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → python)
   and retries, mirroring :class:`~repro.guard.degrade.GuardedMatcher`;
   every step increments ``guard_degradations_total``.
 * **Supervision** — a dead worker process (OOM-kill, segfault, drill)
   is restarted at the *same* backend under the pool's :class:`~repro.
   serve.resilience.ShardSupervisor` (exponential backoff; a restart
-  storm opens a circuit breaker and scans run inline on the dispatcher
+  storm opens a circuit breaker and scans run in process, as one job,
   until the cooldown passes); a worker wedged past **twice** the scan
   deadline is hard-killed by a per-scan watchdog and its jobs re-scanned
   inline — exactly, because a job's SFA mapping (or overlap segment)
@@ -64,12 +66,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    CancelledError,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -143,7 +140,7 @@ class ShardScanResult:
 
 
 # ---------------------------------------------------------------------------
-# Process-mode worker half (module-level: must be picklable by reference)
+# Worker-process half (module-level: must be picklable by reference)
 # ---------------------------------------------------------------------------
 
 _PROCESS_STATE: dict = {}
@@ -289,35 +286,44 @@ def _scan_segment(
     return matches, totals, timed_out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has
+    one): the most worker processes that can scan at the same time."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 class ShardPool:
-    """Resident pool of matching workers over one compiled artifact."""
+    """Resident matching workers over one compiled artifact."""
 
     def __init__(
         self,
         artifact: Artifact,
-        num_shards: int = 2,
+        num_shards: int = 1,
         backend: str = "lazy",
-        mode: str = "thread",
         supervisor: Optional[ShardSupervisor] = None,
     ) -> None:
         if num_shards < 1:
             raise UsageError(f"num_shards must be >= 1 (got {num_shards})")
-        if mode not in ("thread", "process"):
-            raise UsageError(f"unknown shard mode {mode!r}; choose thread or process")
         if backend not in BACKENDS:
             raise UsageError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if mode == "process" and artifact.path is None:
-            raise UsageError("process-mode shards need an on-disk artifact to load")
+        if num_shards > 1 and artifact.path is None:
+            raise UsageError("worker-process shards need an on-disk artifact to load")
         self.artifact = artifact
         self.num_shards = num_shards
         self.backend = backend
-        self.mode = mode
-        #: the plan the automata admit ("overlap" | "sfa") and the
-        #: per-rule max match width (None = unbounded; under "overlap",
-        #: that is a counting artifact scanned as one job)
-        self.strategy, self.overlap = resolve_strategy(artifact.mfsas)
-        #: the per-segment scan the plan picks, chosen once: SFA scanners
-        #: (shared, immutable) or this thread's byte-engine forks
+        #: the plan ("overlap" | "sfa") and the per-rule max match width
+        #: (None = unbounded; under "overlap", one job).  An in-process
+        #: pool scans one job whatever the automata admit; a process
+        #: pool takes the plan the automata choose.
+        self.strategy, self.overlap = (
+            resolve_strategy(artifact.mfsas) if num_shards > 1 else ("overlap", None)
+        )
+        #: the per-segment scan the plan picks for worker jobs and their
+        #: rescues, chosen once: SFA scanners (shared, immutable) or this
+        #: thread's byte-engine forks
         self._segment_scan = (
             (_scan_segment_mappings, ShardPool._ensure_scanners)
             if self.strategy == "sfa"
@@ -329,7 +335,7 @@ class ShardPool:
         self._local = local()
         self._generation = 0  # bumped on degradation; invalidates worker forks
         self._templates: Optional[list[IMfantEngine]] = None
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._empty_matching_rules = [
             rule for mfsa in artifact.mfsas for rule in empty_matching_rules(mfsa)
         ]
@@ -343,24 +349,23 @@ class ShardPool:
 
     # -- worker/executor management ---------------------------------------
 
-    def _ensure_executor(self) -> Executor:
+    def _ensure_executor(self) -> ProcessPoolExecutor:
+        """The worker processes, created on first use.  Forked workers
+        all start at once, so there are never more of them than usable
+        CPUs; the plan still cuts ``num_shards`` jobs, which queue."""
         if self._executor is None:
-            if self.mode == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.num_shards, thread_name_prefix="repro-shard"
-                )
-            else:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.num_shards,
-                    initializer=_process_init,
-                    initargs=(str(self.artifact.path), self.backend, self.strategy),
-                )
+            self._executor = ProcessPoolExecutor(
+                max_workers=min(self.num_shards, _usable_cpus()),
+                initializer=_process_init,
+                initargs=(str(self.artifact.path), self.backend, self.strategy),
+            )
         return self._executor
 
     def _ensure_scanners(self) -> list[SfaScanner]:
         """The pool's simultaneous-run scanners (one per MFSA) — built
-        once, immutable, safely shared by every worker thread and used
-        by the dispatcher reduce to attach/apply process-mode mappings."""
+        once, immutable, safely shared by every thread; the dispatcher
+        reduce attaches/applies the workers' mappings with them, and a
+        watchdog rescue recomputes a lost job's mapping."""
         with self._lock:
             if self._scanners is None:
                 self._scanners = [SfaScanner(mfsa) for mfsa in self.artifact.mfsas]
@@ -381,7 +386,7 @@ class ShardPool:
             self.degradations.append(step)
             self._templates = None
             self._generation += 1
-            if self.mode == "process" and self._executor is not None:
+            if self._executor is not None:
                 # process workers bake the backend into their initializer
                 self._executor.shutdown(wait=True)
                 self._executor = None
@@ -407,7 +412,7 @@ class ShardPool:
                 raise failure
 
     def _worker_engines(self) -> list[IMfantEngine]:
-        """This worker thread's private engine forks (rebuilt after any
+        """This thread's private engine forks (rebuilt after any
         degradation — the generation stamp invalidates stale forks)."""
         templates = self._ensure_templates()
         state = self._local
@@ -423,43 +428,18 @@ class ShardPool:
             state.generation = self._generation
         return state.engines
 
-    def _thread_scan(
-        self,
-        segment: bytes,
-        deadline_at: Optional[float],
-        collect_stats: bool,
-        shard_index: int,
-        trace_id: Optional[str],
-        parent: Optional[obs.Span],
-    ) -> tuple[object, ExecutionStats, bool, list]:
-        faultinject.fire("serve.worker.hang")
-        scan, workers = self._segment_scan
-        with obs.span(
-            "serve.worker_scan",
-            parent=parent,
-            trace_id=trace_id,
-            shard=shard_index,
-            bytes=len(segment),
-        ) as span:
-            payload, stats, timed_out = scan(
-                workers(self), segment, deadline_at, collect_stats
-            )
-            span.set(timed_out=timed_out)
-        return payload, stats, timed_out, []
-
     def _recover_workers(self, failure: BaseException) -> bool:
         """Replace dead process workers and step the ladder; False when
         the ladder is exhausted (the caller re-raises).
 
-        Process-mode engine builds happen in ``_process_init``, so an
+        Worker engine builds happen in ``_process_init``, so an
         AllocationFailed there surfaces here as BrokenProcessPool — the
         only place the process path can join the degradation ladder.
         """
-        if self.mode == "process":
-            with self._lock:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=True)
-                    self._executor = None
+        with self._lock:
+            if self._executor is not None:
+                self._executor.shutdown(wait=True)
+                self._executor = None
         return self._degrade(f"worker-failure: {failure}")
 
     # -- supervision -------------------------------------------------------
@@ -479,20 +459,17 @@ class ShardPool:
             executor.shutdown(wait=False, cancel_futures=True)
 
     def _kill_stuck_workers(self) -> None:
-        """The watchdog's hammer: hard-kill wedged process workers and
-        drop the executor (lazily rebuilt on next use).  Thread workers
-        cannot be killed — their executor is abandoned instead and the
-        stuck threads finish whenever the wedge clears."""
+        """The watchdog's hammer: hard-kill wedged worker processes and
+        drop the executor (lazily rebuilt on next use)."""
         with self._lock:
             executor, self._executor = self._executor, None
         if executor is None:
             return
-        if self.mode == "process":
-            for process in list(getattr(executor, "_processes", {}).values()):
-                try:
-                    process.kill()
-                except Exception:
-                    pass
+        for process in list(getattr(executor, "_processes", {}).values()):
+            try:
+                process.kill()
+            except Exception:
+                pass
         executor.shutdown(wait=False, cancel_futures=True)
 
     def _rescue_job(
@@ -593,9 +570,13 @@ class ShardPool:
         ``timeout`` seconds.  A dead executor or a wedged one counts a
         failure with the supervisor and kills/drops the workers (rebuilt
         on next use); while the breaker is open the probe reports False
-        without poking the crash loop."""
+        without poking the crash loop.  An in-process pool has no worker
+        to probe: it reports healthy until retired and starts nothing."""
         if self._retired:
             return False
+        if self.num_shards == 1:
+            self.last_heartbeat_ok = True
+            return True
         if self.supervisor.breaker_open():
             self.last_heartbeat_ok = False
             return False
@@ -627,170 +608,43 @@ class ShardPool:
         trace_id: Optional[str] = None,
         parent: Optional[obs.Span] = None,
     ) -> ShardScanResult:
-        """Scan one payload across the pool; exact single-pass semantics.
+        """Scan one payload; exact single-pass semantics.
 
-        ``deadline`` is wall-clock seconds for the whole scan.  Shards
+        An in-process pool scans it as one job on the calling thread; a
+        process pool splits it into ``num_shards`` planned jobs over its
+        workers, or scans it in process while the worker breaker is open.
+
+        ``deadline`` is wall-clock seconds for the whole scan.  Jobs
         that exceed it surface their honest partial results and the scan
         is flagged ``partial`` — the answer is a sound under-
         approximation, never silently wrong.
 
-        ``trace_id``/``parent`` stitch this scan (and its per-shard
-        worker spans, shipped back from worker processes in process
-        mode) into the caller's request trace.
+        ``trace_id``/``parent`` stitch this scan (and its per-job worker
+        spans, shipped back from worker processes) into the caller's
+        request trace.
         """
         data = payload.encode("latin-1") if isinstance(payload, str) else payload
-        # zero lead bytes under mappings: workers are truly independent
-        jobs = plan_shards(
-            len(data), self.num_shards, 0 if self.strategy == "sfa" else self.overlap
-        )
         deadline_at = time.perf_counter() + deadline if deadline is not None else None
 
         with obs.span(
             "serve.shard_scan",
             parent=parent,
             trace_id=trace_id,
-            shards=len(jobs),
             bytes=len(data),
             backend=self.backend,
-            mode=self.mode,
             strategy=self.strategy,
         ) as span:
-            registry = obs.get_registry()
             scan_parent = span if isinstance(span, obs.Span) else None
-            # process workers only buffer + ship spans when someone can
-            # adopt them: a trace id is set and a tracer is active
-            trace_request = (
-                {"trace_id": trace_id}
-                if trace_id is not None and obs.get_tracer() is not None
-                else None
-            )
-            inflight = (
-                registry.gauge(
-                    "serve_shard_inflight_jobs",
-                    help="shard jobs submitted and not yet finished",
+            found = None
+            if self.num_shards > 1:
+                found = self._scan_workers(
+                    data, deadline, deadline_at, collect_stats, trace_id, scan_parent
                 )
-                if registry is not None
-                else None
-            )
-            while True:
-                if self.supervisor.breaker_open():
-                    # restart storm: stop feeding the crash loop — scan
-                    # every job inline on the dispatcher (still exact;
-                    # the breaker cooldown gates the next worker probe)
-                    self._count(
-                        "serve_breaker_inline_scans_total",
-                        "scans served inline while the worker breaker was open",
-                    )
-                    outcomes = [
-                        self._rescue_job(job, data, deadline, collect_stats)
-                        for job in jobs
-                    ]
-                    break
-                executor = self._ensure_executor()
-                futures = []
-                submit_failure: Optional[BaseException] = None
-                try:
-                    for index, job in enumerate(jobs):
-                        segment = data[job.segment_slice]
-                        if self.mode == "thread":
-                            future = executor.submit(
-                                self._thread_scan, segment, deadline_at, collect_stats,
-                                index, trace_id, scan_parent,
-                            )
-                        else:
-                            future = executor.submit(
-                                _process_scan,
-                                (segment, deadline_at, collect_stats, index, trace_request),
-                            )
-                        if registry is not None:
-                            busy = registry.gauge(
-                                f"serve_shard_{index}_busy",
-                                help="jobs in flight on this shard slot",
-                            )
-                            busy.inc()
-                            inflight.inc()
-                            future.add_done_callback(
-                                lambda _f, g=busy, t=inflight: (g.dec(), t.dec())
-                            )
-                        futures.append(future)
-                except (BrokenProcessPool, RuntimeError) as exc:
-                    # the executor broke (workers died between scans) or
-                    # was torn down under us (watchdog/heartbeat kill):
-                    # submit raises synchronously — same failure machinery
-                    # as a mid-scan death, not an internal error
-                    for future in futures:
-                        future.cancel()
-                    submit_failure = exc
-                if submit_failure is not None:
-                    outcomes, failure = [], submit_failure
-                else:
-                    outcomes, failure = self._collect_outcomes(
-                        futures, jobs, data, deadline, deadline_at, collect_stats,
-                    )
-                if failure is None:
-                    self.supervisor.record_success()
-                    break
-                if not isinstance(failure, AllocationFailed):
-                    # a worker death may be transient (OOM-kill, segfault,
-                    # drill): the supervisor restarts at the *same*
-                    # backend under backoff before any ladder step
-                    action = self.supervisor.on_failure()
-                    if action.restart:
-                        self._count(
-                            "serve_supervisor_restarts_total",
-                            "worker restarts ordered by the shard supervisor",
-                        )
-                        self._rebuild_executor()
-                        if action.delay:
-                            time.sleep(action.delay)
-                        continue
-                    if action.breaker_open:
-                        continue  # the loop head takes the inline path
-                # persistent failure (or restart budget spent): next rung
-                if self._recover_workers(failure):
-                    continue
-                if isinstance(failure, ReproError):
-                    raise failure
-                raise AllocationFailed(
-                    f"shard workers failed with the backend ladder exhausted: {failure}"
-                ) from failure
-
-            matches: set[tuple[int, int]] = set()
-            totals = ExecutionStats()
-            timed_out: list[int] = []
-            mapping_rows: list[list[Optional[ChunkMapping]]] = []
-            for index, (job, outcome) in enumerate(zip(jobs, outcomes)):
-                job_payload, job_stats, job_timed_out, span_rows = outcome
-                if span_rows:
-                    tracer = obs.get_tracer()
-                    if tracer is not None:
-                        tracer.adopt_spans(span_rows, parent=scan_parent)
-                if self.strategy == "sfa":
-                    # a lost mapping's const matches come back salvaged
-                    job_mappings, job_payload = job_payload
-                    mapping_rows.append(job_mappings)
-                matches |= rebase_matches(job_payload, job)
-                totals.merge(job_stats)
-                if job_timed_out:
-                    timed_out.append(index)
-                if registry is not None and job_stats.wall_seconds:
-                    registry.histogram(
-                        "serve_shard_scan_seconds",
-                        bounds=_LATENCY_BUCKETS,
-                        help="per-shard scan wall seconds",
-                    ).observe(job_stats.wall_seconds)
-                    registry.histogram(
-                        "serve_shard_throughput_bytes_per_sec",
-                        bounds=_THROUGHPUT_BUCKETS,
-                        help="per-shard scan throughput",
-                    ).observe(job_stats.chars_processed / job_stats.wall_seconds)
-            if self.strategy == "sfa":
-                lengths = [job.stop - job.start for job in jobs]
-                for slot, scanner in enumerate(self._ensure_scanners()):
-                    found, _exit = fold_mappings(
-                        [row[slot] for row in mapping_rows], lengths, scanner
-                    )
-                    matches |= found
+            if found is None:
+                found = self._scan_inline(
+                    data, deadline_at, collect_stats, trace_id, scan_parent
+                )
+            matches, totals, timed_out, jobs, strategy = found
 
             # ε-accepting rules match at every offset 0..len(data); the
             # engines enumerate them per segment, which scales with the
@@ -816,6 +670,7 @@ class ShardPool:
                 len(matches) + len(all_offsets_rules) * (len(data) + 1)
             )
             span.set(
+                shards=jobs,
                 matches=totals.match_count,
                 partial=bool(timed_out),
                 backend=self.backend,
@@ -825,14 +680,171 @@ class ShardPool:
             matches=matches,
             stats=totals,
             backend=self.backend,
-            shards=len(jobs),
+            shards=jobs,
             payload_len=len(data),
             all_offsets_rules=all_offsets_rules,
             partial=bool(timed_out),
             timed_out_shards=timed_out,
             degradations=list(self.degradations),
-            strategy=self.strategy,
+            strategy=strategy,
         )
+
+    def _scan_inline(
+        self,
+        data: bytes,
+        deadline_at: Optional[float],
+        collect_stats: bool,
+        trace_id: Optional[str],
+        parent: Optional[obs.Span],
+    ) -> tuple[set, ExecutionStats, list[int], int, str]:
+        """The whole payload as one job on the calling thread, over this
+        thread's engine forks: every scan of an in-process pool, and a
+        process pool's scans while its worker breaker is open.  Returns
+        ``(matches, stats, timed_out_jobs, jobs, strategy)``."""
+        with obs.span(
+            "serve.worker_scan",
+            parent=parent,
+            trace_id=trace_id,
+            shard=0,
+            bytes=len(data),
+        ) as span:
+            matches, stats, timed_out = _scan_segment(
+                self._worker_engines(), data, deadline_at, collect_stats
+            )
+            span.set(timed_out=timed_out)
+        _observe_job(stats)
+        return matches, stats, [0] if timed_out else [], 1, "overlap"
+
+    def _scan_workers(
+        self,
+        data: bytes,
+        deadline: Optional[float],
+        deadline_at: Optional[float],
+        collect_stats: bool,
+        trace_id: Optional[str],
+        parent: Optional[obs.Span],
+    ) -> Optional[tuple[set, ExecutionStats, list[int], int, str]]:
+        """Run the plan's jobs on the worker processes and stitch them
+        (same tuple as :meth:`_scan_inline`), or None once the worker
+        breaker is open: a restart storm stops feeding the crash loop,
+        and the caller scans in process until the cooldown passes."""
+        # zero lead bytes under mappings: workers are truly independent
+        jobs = plan_shards(
+            len(data), self.num_shards, 0 if self.strategy == "sfa" else self.overlap
+        )
+        registry = obs.get_registry()
+        # workers only buffer + ship spans when someone can adopt them: a
+        # trace id is set and a tracer is active
+        trace_request = (
+            {"trace_id": trace_id}
+            if trace_id is not None and obs.get_tracer() is not None
+            else None
+        )
+        inflight = (
+            registry.gauge(
+                "serve_shard_inflight_jobs",
+                help="shard jobs submitted and not yet finished",
+            )
+            if registry is not None
+            else None
+        )
+        while True:
+            if self.supervisor.breaker_open():
+                self._count(
+                    "serve_breaker_inline_scans_total",
+                    "scans served inline while the worker breaker was open",
+                )
+                return None
+            executor = self._ensure_executor()
+            futures = []
+            submit_failure: Optional[BaseException] = None
+            try:
+                for index, job in enumerate(jobs):
+                    future = executor.submit(
+                        _process_scan,
+                        (data[job.segment_slice], deadline_at, collect_stats,
+                         index, trace_request),
+                    )
+                    if registry is not None:
+                        busy = registry.gauge(
+                            f"serve_shard_{index}_busy",
+                            help="jobs in flight on this shard slot",
+                        )
+                        busy.inc()
+                        inflight.inc()
+                        future.add_done_callback(
+                            lambda _f, g=busy, t=inflight: (g.dec(), t.dec())
+                        )
+                    futures.append(future)
+            except (BrokenProcessPool, RuntimeError) as exc:
+                # the executor broke (workers died between scans) or
+                # was torn down under us (watchdog/heartbeat kill):
+                # submit raises synchronously — same failure machinery
+                # as a mid-scan death, not an internal error
+                for future in futures:
+                    future.cancel()
+                submit_failure = exc
+            if submit_failure is not None:
+                outcomes, failure = [], submit_failure
+            else:
+                outcomes, failure = self._collect_outcomes(
+                    futures, jobs, data, deadline, deadline_at, collect_stats,
+                )
+            if failure is None:
+                self.supervisor.record_success()
+                break
+            if not isinstance(failure, AllocationFailed):
+                # a worker death may be transient (OOM-kill, segfault,
+                # drill): the supervisor restarts at the *same*
+                # backend under backoff before any ladder step
+                action = self.supervisor.on_failure()
+                if action.restart:
+                    self._count(
+                        "serve_supervisor_restarts_total",
+                        "worker restarts ordered by the shard supervisor",
+                    )
+                    self._rebuild_executor()
+                    if action.delay:
+                        time.sleep(action.delay)
+                    continue
+                if action.breaker_open:
+                    continue  # the loop head hands the scan back
+            # persistent failure (or restart budget spent): next rung
+            if self._recover_workers(failure):
+                continue
+            if isinstance(failure, ReproError):
+                raise failure
+            raise AllocationFailed(
+                f"shard workers failed with the backend ladder exhausted: {failure}"
+            ) from failure
+
+        matches: set[tuple[int, int]] = set()
+        totals = ExecutionStats()
+        timed_out: list[int] = []
+        mapping_rows: list[list[Optional[ChunkMapping]]] = []
+        for index, (job, outcome) in enumerate(zip(jobs, outcomes)):
+            job_payload, job_stats, job_timed_out, span_rows = outcome
+            if span_rows:
+                tracer = obs.get_tracer()
+                if tracer is not None:
+                    tracer.adopt_spans(span_rows, parent=parent)
+            if self.strategy == "sfa":
+                # a lost mapping's const matches come back salvaged
+                job_mappings, job_payload = job_payload
+                mapping_rows.append(job_mappings)
+            matches |= rebase_matches(job_payload, job)
+            totals.merge(job_stats)
+            if job_timed_out:
+                timed_out.append(index)
+            _observe_job(job_stats)
+        if self.strategy == "sfa":
+            lengths = [job.stop - job.start for job in jobs]
+            for slot, scanner in enumerate(self._ensure_scanners()):
+                found, _exit = fold_mappings(
+                    [row[slot] for row in mapping_rows], lengths, scanner
+                )
+                matches |= found
+        return matches, totals, timed_out, len(jobs), self.strategy
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -875,6 +887,23 @@ class ShardPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _observe_job(stats: ExecutionStats) -> None:
+    """One job's scan time and throughput, on the active registry."""
+    registry = obs.get_registry()
+    if registry is None or not stats.wall_seconds:
+        return
+    registry.histogram(
+        "serve_shard_scan_seconds",
+        bounds=_LATENCY_BUCKETS,
+        help="per-shard scan wall seconds",
+    ).observe(stats.wall_seconds)
+    registry.histogram(
+        "serve_shard_throughput_bytes_per_sec",
+        bounds=_THROUGHPUT_BUCKETS,
+        help="per-shard scan throughput",
+    ).observe(stats.chars_processed / stats.wall_seconds)
 
 
 #: latency buckets: 100 µs … ~13 s, exponential

@@ -105,6 +105,21 @@ class TestServeMain:
                         "--scan-strategy", "sfa"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("extra", [
+        pytest.param(["--mode", "process"], id="mode"),
+        pytest.param(["--admission-window", "0"], id="admission-window"),
+        pytest.param(["--dedup-ttl", "30"], id="dedup-ttl"),
+    ])
+    def test_serving_knob_removed(self, extra, tmp_path, capsys):
+        """--shards alone picks worker processes; the admission window and
+        the dedup TTL are constants."""
+        # a missing ruleset: were the flag accepted, the run would fail on
+        # the file instead of serving forever
+        argv = ["--ruleset", str(tmp_path / "missing.txt"),
+                "--artifact-dir", str(tmp_path)] + extra
+        assert _exit_code(serve_main, argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def _exit_code(main, argv) -> int:
     """A CLI entry point's exit code, whether argparse exits or it returns."""

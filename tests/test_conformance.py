@@ -213,10 +213,21 @@ def _oracle(mfsas, payload: bytes) -> set:
     return matches
 
 
+def _stored_artifact(root, patterns, mfsas):
+    """An on-disk artifact, which the pool's worker processes load."""
+    from repro.serve.artifacts import Artifact, ArtifactStore, ruleset_key
+
+    key = ruleset_key(patterns)
+    path = ArtifactStore(root).save(key, patterns, mfsas)
+    return Artifact(
+        key=key, patterns=list(patterns), mfsas=list(mfsas),
+        loaded_from_cache=False, path=path,
+    )
+
+
 @pytest.mark.serve
 @pytest.mark.parametrize("num_shards", [2, 3, 5])
-def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
-    from repro.serve.artifacts import Artifact, ruleset_key
+def test_shard_pool_equals_single_pass(compiled_builtins, num_shards, tmp_path):
     from repro.serve.shards import ShardPool
 
     patterns, mfsas = compiled_builtins["tokens_exact"]
@@ -228,12 +239,7 @@ def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
         pos = cut * len(payload) // num_shards - len(token) // 2
         payload = payload[:pos] + token + payload[pos + len(token):]
 
-    artifact = Artifact(
-        key=ruleset_key(patterns),
-        patterns=list(patterns),
-        mfsas=list(mfsas),
-        loaded_from_cache=False,
-    )
+    artifact = _stored_artifact(tmp_path, patterns, mfsas)
     with ShardPool(artifact, num_shards=num_shards, backend="lazy") as pool:
         result = pool.scan(payload)
     assert result.shards == num_shards
@@ -245,22 +251,16 @@ def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
 @pytest.mark.sfa
 @pytest.mark.parametrize("name", ["dotstar_rules", "http_signatures"])
 @pytest.mark.parametrize("num_shards", [2, 4])
-def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, num_shards):
+def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, num_shards, tmp_path):
     """Mapping-mode sharding (zero overlap bytes) must stay byte-identical
     to the single-shot oracle on unbounded rulesets, where the overlap
     planner has no finite lead."""
-    from repro.serve.artifacts import Artifact, ruleset_key
     from repro.serve.shards import ShardPool
 
     patterns, mfsas = compiled_builtins[name]
     payload = _demo_stream(patterns, STREAM_BYTES)
 
-    artifact = Artifact(
-        key=ruleset_key(patterns),
-        patterns=list(patterns),
-        mfsas=list(mfsas),
-        loaded_from_cache=False,
-    )
+    artifact = _stored_artifact(tmp_path, patterns, mfsas)
     with ShardPool(artifact, num_shards=num_shards) as pool:
         assert (pool.strategy, pool.overlap) == ("sfa", None)
         result = pool.scan(payload)
@@ -269,11 +269,7 @@ def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, num_shards):
     assert not result.partial
     assert result.matches == _oracle(mfsas, payload)
 
-    single = Artifact(
-        key=ruleset_key(patterns), patterns=list(patterns),
-        mfsas=list(mfsas), loaded_from_cache=False,
-    )
-    with ShardPool(single, num_shards=num_shards) as pool:
+    with ShardPool(artifact, num_shards=num_shards) as pool:
         first = pool.scan(payload, single_match=True)
     expected = {}
     for rule, end in result.matches:

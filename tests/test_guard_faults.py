@@ -265,7 +265,7 @@ class TestCountingRegisterPressure:
             mfsas=list(counting_mfsas), loaded_from_cache=False,
         )
         with faultinject.inject("counting.register_pressure", 1):
-            with ShardPool(artifact, num_shards=2, backend="counting") as pool:
+            with ShardPool(artifact, backend="counting") as pool:
                 result = pool.scan(self.PAYLOAD)
         assert pool.backend == "lazy"
         assert result.matches == self._oracle(counting_mfsas)

@@ -22,6 +22,7 @@ import time
 import pytest
 
 import repro.obs as obs
+import repro.serve.server as server_module
 from repro.engine.imfant import IMfantEngine
 from repro.guard import faultinject
 from repro.guard.errors import ConnectionLost, UsageError
@@ -227,7 +228,7 @@ def test_watchdog_kills_hung_worker_and_rescues_exactly(tmp_path):
     deadline = 0.3
     with faultinject.inject("serve.worker.hang", 30.0):
         with obs.capture() as cap:
-            with ShardPool(artifact, num_shards=2, mode="process") as pool:
+            with ShardPool(artifact, num_shards=2) as pool:
                 assert pool.strategy == "sfa"
                 started = time.perf_counter()
                 result = pool.scan(PAYLOAD, deadline=deadline)
@@ -253,8 +254,7 @@ def test_kill_storm_opens_breaker_and_scans_inline(artifact):
                                  storm_window=30.0, cooldown=60.0)
     with faultinject.inject("serve.worker.kill", True):
         with obs.capture() as cap:
-            with ShardPool(artifact, num_shards=2, mode="process",
-                           supervisor=supervisor) as pool:
+            with ShardPool(artifact, num_shards=2, supervisor=supervisor) as pool:
                 result = pool.scan(PAYLOAD)
                 assert result.full_matches() == oracle
                 assert supervisor.breaker_opens_total == 1
@@ -271,7 +271,7 @@ def test_kill_storm_opens_breaker_and_scans_inline(artifact):
 
 def test_heartbeat_probe_detects_dead_workers_and_recovers(artifact):
     oracle = _oracle(artifact, PAYLOAD)
-    with ShardPool(artifact, num_shards=2, mode="process") as pool:
+    with ShardPool(artifact, num_shards=2) as pool:
         assert pool.scan(PAYLOAD).full_matches() == oracle
         assert pool.heartbeat() is True
         assert pool.last_heartbeat_ok is True
@@ -306,8 +306,14 @@ def _collecting_reply(replies: list):
     return reply
 
 
-def test_admission_observes_real_queue_waits(artifact):
-    config = ServeConfig(shards=1, admission_target=0.5, admission_window=30.0)
+@pytest.fixture
+def long_admission_window(monkeypatch):
+    """A 30 s wait-floor window, so no observation ages out mid-test."""
+    monkeypatch.setattr(server_module, "_ADMISSION_WINDOW", 30.0)
+
+
+def test_admission_observes_real_queue_waits(artifact, long_admission_window):
+    config = ServeConfig(shards=1, admission_target=0.5)
     replies: list = []
 
     async def scenario():
@@ -330,8 +336,10 @@ def test_admission_observes_real_queue_waits(artifact):
     assert replies[0]["status"] == "ok"
 
 
-def test_admission_sheds_standing_overload_with_retry_after(artifact):
-    config = ServeConfig(shards=1, admission_target=0.005, admission_window=30.0)
+def test_admission_sheds_standing_overload_with_retry_after(
+    artifact, long_admission_window
+):
+    config = ServeConfig(shards=1, admission_target=0.005)
     replies: list = []
 
     async def scenario():
@@ -410,7 +418,7 @@ def test_hot_reload_drops_nothing_under_traffic(tmp_path):
     oracle_b = frozenset(_oracle(art_b, payload))
     assert oracle_a != oracle_b
 
-    server = ServerThread(art_a, ServeConfig(shards=2), store=store).start()
+    server = ServerThread(art_a, ServeConfig(shards=1), store=store).start()
     stop = threading.Event()
     outcomes: list = []
     errors: list = []

@@ -13,6 +13,7 @@ Everything here carries the ``serve`` marker (``make serve-smoke``).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import socket as socket_module
 import struct
@@ -21,7 +22,10 @@ import threading
 import pytest
 
 import repro.obs as obs
+from repro.cli import _demo_stream
+from repro.datasets import load_builtin
 from repro.engine import counters
+from repro.engine.chunkscan import resolve_strategy
 from repro.engine.imfant import IMfantEngine
 from repro.guard import faultinject
 from repro.guard.errors import ConnectionLost, UsageError
@@ -200,7 +204,7 @@ def test_pool_degrades_on_allocation_failure(artifact):
     oracle = _oracle(artifact, PAYLOAD)
     with obs.capture() as cap:
         with faultinject.inject("alloc", "lazy"):
-            with ShardPool(artifact, num_shards=2, backend="lazy") as pool:
+            with ShardPool(artifact, num_shards=1, backend="lazy") as pool:
                 result = pool.scan(PAYLOAD)
     assert result.backend == "python"  # stepped one rung down the ladder
     assert result.matches == oracle
@@ -218,16 +222,16 @@ def frequent_deadline_checks(monkeypatch):
 
 def test_pool_deadline_yields_partial(artifact, frequent_deadline_checks):
     with faultinject.inject("engine.step_delay", 0.05):
-        with ShardPool(artifact, num_shards=2, backend="python") as pool:
+        with ShardPool(artifact, num_shards=1, backend="python") as pool:
             result = pool.scan(PAYLOAD, deadline=0.15)
     assert result.partial
-    assert result.timed_out_shards  # at least one shard hit the wall
+    assert result.timed_out_shards == [0]  # the one in-process job hit the wall
     assert result.matches <= _oracle(artifact, PAYLOAD)  # honest prefix
 
 
 def test_pool_process_mode_loads_artifact(artifact):
     assert artifact.path is not None
-    with ShardPool(artifact, num_shards=2, backend="python", mode="process") as pool:
+    with ShardPool(artifact, num_shards=2, backend="python") as pool:
         result = pool.scan(PAYLOAD)
     assert result.matches == _oracle(artifact, PAYLOAD)
     assert result.shards == 2
@@ -238,8 +242,49 @@ def test_pool_rejects_bad_config(artifact):
         ShardPool(artifact, num_shards=0)
     with pytest.raises(UsageError):
         ShardPool(artifact, num_shards=1, backend="cuda")
+    # worker processes load the artifact from disk; an in-memory one has
+    # no path to hand them
+    in_memory = dataclasses.replace(artifact, path=None)
     with pytest.raises(UsageError):
-        ShardPool(artifact, num_shards=1, mode="fiber")
+        ShardPool(in_memory, num_shards=2)
+    ShardPool(in_memory, num_shards=1).close()
+
+
+def test_in_process_pool_scans_one_job_whatever_the_plan(tmp_path, monkeypatch):
+    """An unbounded ruleset admits only the SFA plan, yet the default
+    pool scans it as one job on the calling thread: no executor, no SFA
+    scanner, and the exact single-pass answer."""
+    import repro.serve.shards as shards_module
+
+    def no_scanner(*_args, **_kwargs):
+        raise AssertionError("an in-process pool built an SFA scanner")
+
+    monkeypatch.setattr(shards_module, "SfaScanner", no_scanner)
+    patterns = list(load_builtin("http_signatures").patterns)
+    artifact = ArtifactStore(tmp_path).get_or_compile(
+        patterns, CompileOptions(emit_anml=False)
+    )
+    assert resolve_strategy(artifact.mfsas) == ("sfa", None)
+    payload = _demo_stream(patterns, 4096)
+    oracle = _oracle(artifact, payload)
+    assert oracle
+    with ShardPool(artifact) as pool:
+        result = pool.scan(payload)
+        assert pool._executor is None
+    assert result.shards == 1
+    assert not result.partial
+    assert result.full_matches() == oracle
+
+
+def test_process_workers_capped_at_usable_cpus(artifact):
+    """64 jobs per payload fork at most one worker per usable CPU; the
+    executor is only built here, so no process starts."""
+    import os
+
+    with ShardPool(artifact, num_shards=64) as pool:
+        executor = pool._ensure_executor()
+        assert executor._max_workers == min(64, len(os.sched_getaffinity(0)))
+        assert not executor._processes
 
 
 def test_pool_process_mode_degrades_on_worker_failure(artifact):
@@ -249,8 +294,7 @@ def test_pool_process_mode_degrades_on_worker_failure(artifact):
     assert artifact.path is not None
     with obs.capture() as cap:
         with faultinject.inject("alloc", "lazy"):
-            with ShardPool(artifact, num_shards=2, backend="lazy",
-                           mode="process") as pool:
+            with ShardPool(artifact, num_shards=2, backend="lazy") as pool:
                 result = pool.scan(PAYLOAD)
     assert result.backend == "python"
     assert result.matches == _oracle(artifact, PAYLOAD)
@@ -566,7 +610,7 @@ def test_socket_fault_drill_partial_not_hang(artifact, frequent_deadline_checks)
     """The wedged-shard drill: injected step delay + deadline → 206, fast."""
     import time
 
-    config = ServeConfig(shards=2, backend="python")
+    config = ServeConfig(shards=1, backend="python")
     with faultinject.inject("engine.step_delay", 0.05):
         with ServerThread(artifact, config) as address:
             with MatchClient.connect(address) as client:
@@ -584,7 +628,7 @@ def test_socket_epsilon_rules_compact_on_wire(epsilon_artifact):
     match sets stay byte-identical to a single-process scan."""
     payload = b"xxabcaax" * 4
     oracle = _oracle(epsilon_artifact, payload)
-    with ServerThread(epsilon_artifact, ServeConfig(shards=2)) as address:
+    with ServerThread(epsilon_artifact, ServeConfig(shards=1)) as address:
         with MatchClient.connect(address) as client:
             result = client.match(payload)
     assert result.ok
@@ -610,7 +654,7 @@ def test_socket_oversize_response_answers_500(artifact, monkeypatch):
 
 def test_socket_degradation_reported(artifact):
     with faultinject.inject("alloc", "lazy"):
-        with ServerThread(artifact, ServeConfig(shards=2, backend="lazy")) as address:
+        with ServerThread(artifact, ServeConfig(shards=1, backend="lazy")) as address:
             with MatchClient.connect(address) as client:
                 result = client.match(PAYLOAD)
     assert result.ok
@@ -715,7 +759,7 @@ def test_client_idempotent_retry_answered_from_dedup_window(artifact):
     answered from the server's dedup window — never scanned twice, never
     answered differently."""
     oracle = _oracle(artifact, PAYLOAD)
-    with ServerThread(artifact, ServeConfig(shards=2)) as address:
+    with ServerThread(artifact, ServeConfig(shards=1)) as address:
         with MatchClient.connect(address, retry=RetryPolicy(max_attempts=8)) as client:
             with faultinject.inject("serve.conn.drop", 0.5):
                 for _ in range(6):

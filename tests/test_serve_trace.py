@@ -3,8 +3,8 @@
 One traced request against a running server must come back as ONE
 stitched span tree — ``client.match`` → ``serve.request`` →
 (``serve.queue_wait`` | ``serve.shard_scan`` → ``serve.worker_scan``) —
-under a single trace id, in thread mode and, crossing a real process
-boundary, in process mode.
+under a single trace id, scanning in process and, crossing a real
+process boundary, over worker processes.
 
 The server owns the tracer here (``trace_requests=True`` with no
 pre-enabled switchboard): it enables tracing on start, pops each
@@ -53,9 +53,9 @@ def _trace_tree(tracer, trace_id):
     return spans, roots
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_traced_request_yields_one_stitched_tree(artifact, mode):
-    config = ServeConfig(shards=2, mode=mode, trace_requests=True)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_traced_request_yields_one_stitched_tree(artifact, shards):
+    config = ServeConfig(shards=shards, trace_requests=True)
     with ServerThread(artifact, config) as address:
         tracer = obs.get_tracer()
         assert tracer is not None, "trace_requests must enable a tracer"
@@ -85,7 +85,7 @@ def test_traced_request_yields_one_stitched_tree(artifact, mode):
         for worker in workers:
             assert by_id[worker.parent_id].name == "serve.shard_scan"
 
-        if mode == "process":
+        if shards > 1:
             # the tree really crosses a process boundary
             pids = {s.process_id for s in spans}
             assert len(pids) >= 2, f"expected >=2 process ids, got {pids}"
@@ -133,7 +133,7 @@ def test_client_trace_without_server_tracer(artifact):
 
 
 def test_stats_op_exposes_latency_percentiles(artifact):
-    config = ServeConfig(shards=2)  # metrics default on
+    config = ServeConfig(shards=1)  # metrics default on
     with ServerThread(artifact, config) as address:
         with MatchClient.connect(address) as client:
             for _ in range(5):

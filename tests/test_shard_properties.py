@@ -15,6 +15,8 @@ instead.
 
 from __future__ import annotations
 
+import tempfile
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,7 @@ from repro.engine.chunkscan import mfsa_max_width
 from repro.engine.imfant import IMfantEngine
 from repro.mfsa.merge import merge_fsas
 from repro.mfsa.model import empty_matching_rules
-from repro.serve.artifacts import Artifact, ruleset_key
+from repro.serve.artifacts import Artifact, ArtifactStore, ruleset_key
 from repro.serve.shards import ShardJob, ShardPool, plan_shards, rebase_matches
 
 from conftest import compile_ruleset_fsas, ere_patterns, input_strings
@@ -133,7 +135,7 @@ def test_planner_cuts_equal_single_pass(data):
 
 
 # ---------------------------------------------------------------------------
-# The real ShardPool, end to end (fewer examples: executors are heavy)
+# The real ShardPool, end to end (fewer examples: worker processes are heavy)
 # ---------------------------------------------------------------------------
 
 
@@ -149,14 +151,18 @@ def test_shard_pool_equals_single_pass(data):
     mfsa = merge_fsas(fsas)
     oracle = _single_pass(mfsa, text)
 
-    artifact = Artifact(
-        key=ruleset_key(patterns),
-        patterns=list(patterns),
-        mfsas=[mfsa],
-        loaded_from_cache=False,
-    )
-    with ShardPool(artifact, num_shards=num_shards, backend=backend) as pool:
-        result = pool.scan(text.encode("latin-1"))
+    # worker processes (num_shards > 1) load the artifact from disk
+    with tempfile.TemporaryDirectory() as root:
+        key = ruleset_key(patterns)
+        artifact = Artifact(
+            key=key,
+            patterns=list(patterns),
+            mfsas=[mfsa],
+            loaded_from_cache=False,
+            path=ArtifactStore(root).save(key, patterns, [mfsa]),
+        )
+        with ShardPool(artifact, num_shards=num_shards, backend=backend) as pool:
+            result = pool.scan(text.encode("latin-1"))
     # ε-accepting rules travel compactly (all_offsets_rules), never as
     # enumerated tuples; full_matches() re-expands to oracle semantics.
     assert result.full_matches() == oracle
