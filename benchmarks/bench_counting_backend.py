@@ -1,8 +1,9 @@
 """Counting backend vs the loop-expansion pipeline across bound sizes.
 
 The counting backend's claim is that a bounded repeat ``{m,n}`` costs a
-counter register (one entry deque, :data:`COUNTING_REGISTER_BYTES`
-modelled bytes) instead of ``n`` expanded state copies — so compile
+counter register (fields of the packed register word,
+:data:`COUNTING_REGISTER_BYTES` modelled bytes) instead of ``n``
+expanded state copies — so compile
 time, automaton memory and the interpretive frontier stay flat as the
 bound grows, where the expansion pipeline scales linearly.  This sweep
 pins that down: for bounds 8 → 4096 it compiles
@@ -28,9 +29,10 @@ Entry points
     smaller than expansion at the largest bound).
 
 ``python benchmarks/bench_counting_backend.py --smoke``
-    Two small bounds, one repeat — the CI wiring
-    (``make counting-smoke``) runs this to keep the sweep honest
-    without the full cost.
+    Two small bounds, min of 3 — the CI wiring (``make
+    counting-smoke``) runs this to keep the sweep honest without the
+    full cost, and asserts the :data:`SMOKE_SCAN_FLOOR` on the register
+    step at bound 8.
 
 ``pytest benchmarks/bench_counting_backend.py --benchmark-only``
     pytest-benchmark timings for the scan loop at a single bound.
@@ -53,6 +55,10 @@ from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 BOUNDS = (8, 32, 128, 512, 1024, 4096)
 SMOKE_BOUNDS = (8, 64)
+#: ``--smoke`` floor on the register step: counting must scan at least
+#: this share of warm lazy-on-expanded throughput at bound 8 (min of 3
+#: scans), so a per-register interpretive step cannot slip back unseen
+SMOKE_SCAN_FLOOR = 0.35
 DECOY_RULE = "abc[0-9]{2,6}z"
 COUNT_THRESHOLD = 8
 
@@ -186,15 +192,25 @@ def run_sweep(bounds=BOUNDS, repeats: int = 3) -> dict:
 
 def main(argv) -> int:
     if "--smoke" in argv:
-        report = run_sweep(bounds=SMOKE_BOUNDS, repeats=1)
+        report = run_sweep(bounds=SMOKE_BOUNDS, repeats=3)
         summary = report["summary"]
         assert summary["modelled_memory_ratio"] > 1.0, summary
+        first = report["results"][0]
+        scan_ratio = (
+            first["counting"]["scan_mb_per_s"] / first["expanded"]["scan_mb_per_s"]
+        )
+        assert scan_ratio >= SMOKE_SCAN_FLOOR, (
+            f"bound {first['bound']}: counting scans at {scan_ratio:.2f}x "
+            f"lazy-on-expanded, below the {SMOKE_SCAN_FLOOR}x floor"
+        )
         print(
             "counting bench smoke ok: memory ratio %.2fx, compile speedup %.2fx "
-            "at bound %d" % (
+            "at bound %d; scan %.2fx lazy-on-expanded at bound %d" % (
                 summary["modelled_memory_ratio"],
                 summary["compile_speedup"],
                 summary["max_bound"],
+                scan_ratio,
+                first["bound"],
             )
         )
         return 0

@@ -837,13 +837,13 @@ def _serve_run_main(argv: list[str]) -> int:
     parser.add_argument("--host", type=str, default="127.0.0.1",
                         help="TCP bind address (default 127.0.0.1)")
     sizing = parser.add_argument_group("sizing")
-    sizing.add_argument("--shards", type=int, default=1, metavar="N",
+    sizing.add_argument("--shards", type=_positive_int, default=1, metavar="N",
                         help="jobs per payload: 1 scans in process (default); "
                              "N > 1 splits each payload over worker processes "
                              "that load the cached artifact")
-    sizing.add_argument("--batch-max", type=int, default=8, metavar="N",
+    sizing.add_argument("--batch-max", type=_positive_int, default=8, metavar="N",
                         help="max requests coalesced per dispatch cycle (default 8)")
-    sizing.add_argument("--queue-depth", type=int, default=64, metavar="N",
+    sizing.add_argument("--queue-depth", type=_positive_int, default=64, metavar="N",
                         help="bounded request queue; full -> 429-style reject "
                              "(default 64)")
     parser.add_argument("--backend",

@@ -28,12 +28,13 @@ Four interchangeable implementations:
 * ``backend="counting"`` — counter registers
   (:mod:`repro.engine.counting`) for the counting arcs of a
   :class:`~repro.counting.mfsa.CountingMfsa`: bounded ``{m,n}`` repeats
-  run in O(1) amortised per byte instead of expanding into bound-many
+  are fields of one packed register word that steps in a fixed handful
+  of big-int operations per byte, instead of expanding into bound-many
   states.  The plain arcs' step is memoized in the same lazy cache the
-  lazy backend uses (frontiers recur even while registers count), and
-  only registers holding or receiving an entry step; their exits join
-  the cached successor frontier.  A counting compile with no registers
-  left is a plain :class:`~repro.mfsa.model.Mfsa` and scans on the lazy
+  lazy backend uses (frontiers recur even while registers count),
+  together with each step's register entries; in-range fields join the
+  cached successor frontier.  A counting compile with no registers left
+  is a plain :class:`~repro.mfsa.model.Mfsa` and scans on the lazy
   loop.
 
 All produce identical matches and (modulo wall time) identical work
@@ -49,7 +50,7 @@ import repro.obs as obs
 from repro.counting.mfsa import CountingMfsa
 from repro.engine import counters
 from repro.engine.counters import RunResult
-from repro.engine.counting import RegisterBank, RegisterFile
+from repro.engine.counting import RegisterBank
 from repro.engine.dense import (
     DEFAULT_PROMOTE_AFTER,
     DENSE_MIN_HIT_RATE,
@@ -170,6 +171,9 @@ class IMfantEngine:
         self._deopt_since_build = 0
         self._last_lazy_hit_rate = 0.0
         self._registers: RegisterBank | None = None
+        #: counting: (config id, fired guard bits) -> (merged config id,
+        #: final hits, exiting registers); cleared with the lazy cache
+        self._merges: dict[tuple[int, int], tuple[int, int, int]] = {}
         backend = self.backend
         try:
             faultinject.fire("alloc", backend=backend)
@@ -455,15 +459,17 @@ class IMfantEngine:
     # -- counting backend -------------------------------------------------------
 
     def _run_counting(self, payload: bytes, collect_stats: bool) -> RunResult:
-        """The lazy-cached plain step plus counter registers.
+        """The lazy-cached plain step plus the packed register word.
 
         Per byte: the plain arcs' successor comes from the lazy cache
-        (as in :meth:`_run_lazy`); registers that hold or receive an
-        entry advance (:meth:`RegisterFile.advance`); their exits are
-        ORed into the successor, final bits emitted, and the merged
-        frontier interned.  Exits recur on the same successor within a
-        payload, so a per-run ``(successor, exits)`` memo skips
-        re-merging; a cache flush renumbers config ids and clears it.
+        (as in :meth:`_run_lazy`), whose entries this engine widens with
+        the step's register entry word and entered-register count
+        (:meth:`RegisterBank.entries`, read from the pre-step frontier
+        before a miss can flush and renumber it).  The register word
+        steps in one expression (see :mod:`repro.engine.counting`); its
+        in-range fields join the successor through a ``(successor,
+        fired)`` memo of the merged config, its final bits and the
+        exiting-register count, which a cache flush clears.
         ``transitions_examined`` still charges every register on every
         byte and live entries join ``active_pair_total``.
         """
@@ -481,37 +487,45 @@ class IMfantEngine:
         intern = cache.config_id_of
         single_match = self.single_match
         num_registers = len(bank)
-        regs = RegisterFile(bank)
-        advance = regs.advance
+        keep = bank.keep
+        sticky = bank.sticky
+        window = bank.window
+        guard = bank.guard
+        live_mask = bank.live
+        merges = self._merges
 
         result, all_rules_mask, matched_rules = self._start_run(payload)
         stats = result.stats
         matches = result.matches
         consumed = 0
         hits = misses = 0
-        peak_live = 0
-        flushes_before = cache.stats.flushes
+        entries_total = peak_live = 0
+        flushes = flushes_before = cache.stats.flushes
         sampler = obs.engine_sampler("imfant")
         stride = sampler.stride if sampler is not None else 0
         dstride = counters.DEADLINE_STRIDE
         started = time.perf_counter()
         deadline_at = self._deadline_at(started)
-        merges: dict[tuple, tuple[int, int]] = {}
-        flushes = flushes_before
+        regs = 0  # the packed register word
         cur = 0  # config id 0 == empty frontier
         for position, byte in enumerate(payload, start=1):
             consumed = position
             if deadline_at is not None and position % dstride == 0:
                 self._deadline_check(deadline_at, started, consumed, result)
-            # read the frontier before a miss can flush and renumber it
-            frontier = configs[cur]
-            entry = transitions.get((cur << 8) | byte)
+            key = (cur << 8) | byte
+            entry = transitions.get(key)
             if entry is None:
+                # read the frontier before a miss can flush; a flush
+                # renumbers it, so the widened entry goes under its new id
+                frontier = configs[cur]
+                entering = bank.entries(frontier, byte)
                 entry = step(cur, byte)
                 misses += 1
                 if cache.stats.flushes != flushes:
                     flushes = cache.stats.flushes
                     merges.clear()
+                    key = (intern(dict(frontier)) << 8) | byte
+                entry = transitions[key] = entry + entering
             else:
                 hits += 1
             cur = entry[0]
@@ -520,38 +534,46 @@ class IMfantEngine:
                 matched_rules |= entry[2]
                 for slot in entry[1]:
                     matches.add((slot_to_rule[slot], position))
-            exits = advance(position, byte, frontier)
-            if exits:
-                key = (cur, *exits)
-                merge = merges.get(key)
+            regs = (((regs << 1) | (regs & sticky)) & keep[byte]) | entry[4]
+            fired = (regs + window) & guard
+            if fired:
+                merge = merges.get((cur, fired))
                 if merge is None:
+                    exits, exited = bank.exits(fired)
                     merged = dict(configs[cur])
                     hit = 0
-                    for dst, mask in exits:
-                        merged[dst] = merged.get(dst, 0) | mask
-                        hit |= mask & final_mask[dst]
+                    for dst, bit in exits:
+                        merged[dst] = merged.get(dst, 0) | bit
+                        hit |= bit & final_mask[dst]
                     if len(merges) >= cache.max_entries:
                         merges.clear()
-                    merge = merges[key] = (intern(merged), hit)
-                cur, hit = merge
-                taken += len(exits)
+                    merge = merges[(cur, fired)] = (intern(merged), hit, exited)
+                cur, hit, exited = merge
+                taken += exited
                 if hit:
                     matched_rules |= hit
                     for slot in iter_bits(hit):
                         matches.add((slot_to_rule[slot], position))
             if collect_stats:
                 stats.transitions_taken += taken
+            entries_total += entry[5]
             if single_match and matched_rules == all_rules_mask:
                 break
-            live = regs.live
-            if live > peak_live:
-                peak_live = live
             if collect_stats:
+                live = (regs & live_mask).bit_count()
+                if live > peak_live:
+                    peak_live = live
                 stats.transitions_examined += examined_by_byte[byte] + num_registers
                 total, peak, _ = config_stats[cur]
                 stats.active_pair_total += total + live
                 if peak > stats.max_state_activation:
                     stats.max_state_activation = peak
+            elif entry[5]:
+                # live entries only fall on a byte without entries, so
+                # the peak can rise only where entries arrive
+                live = (regs & live_mask).bit_count()
+                if live > peak_live:
+                    peak_live = live
             if sampler is not None and position % stride == 0:
                 total, _, width = config_stats[cur]
                 sampler.observe(total, width, examined_by_byte[byte] + num_registers)
@@ -569,11 +591,7 @@ class IMfantEngine:
             registry.counter(
                 "imfant_counting_entries_total",
                 help="activation entries pushed into counter registers",
-            ).inc(regs.entries_total)
-            registry.counter(
-                "imfant_counting_saturations_total",
-                help="entries saturated into unbounded-arc sticky masks",
-            ).inc(regs.saturations_total)
+            ).inc(entries_total)
             registry.gauge(
                 "imfant_counting_live_entries_peak",
                 help="peak live register entries observed in a scan",

@@ -62,9 +62,9 @@ __all__ = [
 #: model, not an allocator probe.
 STATE_BYTES = 64
 TRANSITION_BYTES = 128
-#: Modelled bytes per counting register (deque headers + the sliding
-#: window stacks; entries themselves are bounded by one per scan byte,
-#: so the static charge covers the structure, not the stream).
+#: Modelled bytes per counting register (its fields of the packed
+#: register word and their rows in the step tables; a register holds
+#: at most one entry per count, so the static charge covers the stream).
 COUNTING_REGISTER_BYTES = 512
 
 #: Inner-loop iterations between deadline checks in the metered

@@ -120,6 +120,16 @@ class TestServeMain:
         assert _exit_code(serve_main, argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--shards", "--batch-max", "--queue-depth"])
+    def test_sizing_flag_rejects_zero_before_compiling(self, flag, tmp_path, capsys):
+        """A zero size is a usage error before the ruleset compiles, so
+        no artifact is written."""
+        argv = ["--builtin", "tokens_exact", "--port", "0",
+                "--artifact-dir", str(tmp_path), flag, "0"]
+        assert _exit_code(serve_main, argv) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 def _exit_code(main, argv) -> int:
     """A CLI entry point's exit code, whether argparse exits or it returns."""

@@ -28,7 +28,7 @@ See docs/testing.md for the conformance-oracle pattern.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
@@ -47,29 +47,66 @@ BACKENDS = ("python", "lazy", "dense", "counting")
 #: Text alphabet covering every atom the pattern strategy can emit.
 TEXT_ALPHABET = "abxy012 \n"
 
+SUFFIXES = st.sampled_from(["", "y", "ba", "[01]"])
+
 
 @st.composite
-def counted_patterns(draw) -> str:
-    """One pattern built around a bounded or unbounded repeat."""
-    atom = draw(st.sampled_from(["a", "b", "[ab]", "[^x]", "[0-9]", "(xy)"]))
-    low = draw(st.integers(min_value=0, max_value=4))
+def counted_parts(draw) -> tuple:
+    """(prefix, repeat, suffix) of one pattern built around a bounded or
+    unbounded repeat.  Some bounds pass 64, so the register's field spans
+    several int digits of the packed word; their atom is ``[^x]``, which
+    most text runs match."""
+    wide = draw(st.integers(min_value=0, max_value=3)) == 0
+    if wide:
+        atom = "[^x]"
+    else:
+        atom = draw(st.sampled_from(["a", "b", "[ab]", "[^x]", "[0-9]", "(xy)"]))
+    low = draw(st.integers(min_value=0, max_value=70 if wide else 4))
     unbounded = low >= 1 and draw(st.booleans())
     if unbounded:
         bound = f"{{{low},}}"
     else:
-        high = draw(st.integers(min_value=max(low, 1), max_value=12))
-        bound = f"{{{low},{high}}}"
+        high = draw(st.integers(min_value=max(low, 1), max_value=80 if wide else 12))
+        bound = f"{{{low}}}" if low == high else f"{{{low},{high}}}"
     prefix = draw(st.sampled_from(["", "x", "ab", "y?"]))
-    suffix = draw(st.sampled_from(["", "y", "ba", "[01]"]))
-    return f"{prefix}{atom}{bound}{suffix}"
+    return prefix, atom + bound, draw(SUFFIXES)
 
 
-def rulesets():
-    return st.lists(counted_patterns(), min_size=1, max_size=4)
+@st.composite
+def rulesets(draw) -> list:
+    """One to four counted patterns; some rulesets add a sibling that
+    shares a pattern's prefix and repeat, so the merged register carries
+    several rules."""
+    parts = draw(st.lists(counted_parts(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        prefix, repeat, _ = draw(st.sampled_from(parts))
+        parts.append((prefix, repeat, draw(SUFFIXES)))
+    return ["".join(part) for part in parts]
+
+
+#: Fixed cases the packed register word must get right whatever
+#: hypothesis draws: counts that run on past an unbounded bound after a
+#: prefix (the sticky bit) and fields wider than one int digit ...
+WIDE_CASE = {
+    "patterns": ["xb{3,}y", "ab[^x]{65,}", "x[0-9]{2,70}1"],
+    "text": "xbbbbby ab" + "c" * 70 + " x" + "2" * 68 + "1",
+}
+#: ... and one register carrying three rules, whose entries carry
+#: subsets of them.
+SHARED_CASE = {
+    "patterns": ["a[0-9]{2,5}b", "a[0-9]{2,5}c", "[ab][0-9]{2,5}c"],
+    "text": "a12b b123c a1234c ba99c a123456b b12c aa123c",
+}
 
 
 def texts(max_size: int = 120):
-    return st.text(alphabet=TEXT_ALPHABET, max_size=max_size)
+    """Random text mixed with the patterns' prefixes and with runs of
+    one character, some long enough for bounds past 64, so that counts
+    start after a prefix and run on past their bounds."""
+    length = st.integers(min_value=1, max_value=12) | st.integers(min_value=60, max_value=90)
+    run = st.builds(str.__mul__, st.sampled_from(TEXT_ALPHABET), length)
+    piece = st.text(alphabet=TEXT_ALPHABET, max_size=12) | st.sampled_from(["x", "ab"]) | run
+    return st.lists(piece, max_size=12).map(lambda parts: "".join(parts)[:max_size])
 
 
 def _compile_counting(patterns, threshold: int = 2):
@@ -104,6 +141,8 @@ def _matches(mfsas, payload, backend: str = "python", **kwargs) -> set:
 
 
 @given(patterns=rulesets(), text=texts())
+@example(**WIDE_CASE)
+@example(**SHARED_CASE)
 @settings(max_examples=60, deadline=None)
 def test_counting_equals_expanded_oracle(patterns, text):
     """Counting backend == loop-expanded pipeline, byte for byte."""
@@ -185,6 +224,8 @@ def test_serialize_round_trip(patterns):
     text=texts(),
     cache_size=st.sampled_from([1, 4, 32]),
 )
+@example(**WIDE_CASE, cache_size=1)
+@example(**SHARED_CASE, cache_size=4)
 @settings(max_examples=40, deadline=None)
 def test_flushing_cache_equals_expanded_oracle(patterns, text, cache_size):
     """A tiny lazy cache flushes mid-scan and renumbers the configs (a
@@ -211,6 +252,24 @@ def test_counters_golden():
         "transitions_taken": 224,
         "active_pair_total": 828,
         "max_state_activation": 1,
+        "match_count": 36,
+        "mask_limbs": 1,
+    }
+
+
+def test_shared_register_counters_golden():
+    """One register carries three rules: an entry counts once as a live
+    entry, however many of the register's rules it carries."""
+    (mfsa,) = _compile_counting(SHARED_CASE["patterns"])
+    assert [len(arc.bel) for arc in mfsa.counting] == [3]
+    payload = b"a12b b123c a1234c ba99c a123456b b12c aa123c " * 4
+    stats = IMfantEngine(mfsa, backend="counting").run(payload).stats
+    assert _counters(stats) == {
+        "chars_processed": 180,
+        "transitions_examined": 288,
+        "transitions_taken": 148,
+        "active_pair_total": 356,
+        "max_state_activation": 3,
         "match_count": 36,
         "mask_limbs": 1,
     }
