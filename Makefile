@@ -36,7 +36,7 @@ obs-smoke:
 # CLI drills — a state-explosion rule under --on-error quarantine must
 # isolate the offender and exit 3 (partial), within a hard timeout (a
 # governed compile may fail, never hang); and an out-of-range number
-# (`match -t 0`) must be a usage error, exit 2, not a traceback.
+# (`match --deadline 0`) must be a usage error, exit 2, not a traceback.
 guard-smoke:
 	PYTHONPATH=src pytest tests/ -m guard -q
 	@printf 'abc\nx{5000}\nabd\n' > /tmp/guard-smoke-rules.txt
@@ -47,7 +47,7 @@ guard-smoke:
 	@printf 'zzabczz' > /tmp/guard-smoke-stream.bin
 	@sh -c 'PYTHONPATH=src timeout 60 python -m repro match \
 	    /tmp/guard-smoke-stream.bin --ruleset /tmp/guard-smoke-rules.txt \
-	    -t 0 2>/tmp/guard-smoke-err.txt; \
+	    --deadline 0 2>/tmp/guard-smoke-err.txt; \
 	  test $$? -eq 2 && ! grep -q Traceback /tmp/guard-smoke-err.txt && \
 	  echo "guard-smoke: usage-error exit code OK"'
 	@rm -rf /tmp/guard-smoke-rules.txt /tmp/guard-smoke-out \

@@ -35,7 +35,6 @@ from repro.engine import (
     MachineModel,
     SfaScanner,
     fold_mappings,
-    run_pool,
     simulate_parallel_latency,
 )
 from repro.engine.chunkscan import chunk_scan
@@ -83,7 +82,6 @@ __all__ = [
     "parse",
     "read_anml",
     "reference_match",
-    "run_pool",
     "simulate_parallel_latency",
     "write_anml",
     "__version__",

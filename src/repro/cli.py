@@ -3,7 +3,8 @@
 * ``repro-compile`` — compile a ruleset file (one ERE per line) into
   extended-ANML MFSAs, mirroring the paper artifact's compiler driver.
 * ``repro-match`` — run iMFAnt over an input stream with compiled MFSAs
-  (or compile on the fly), mirroring ``multithreaded_imfant``.
+  (or compile on the fly), one automaton after another; the paper's
+  ``multithreaded_imfant`` scaling is modelled by ``repro-report fig10``.
 * ``repro-report`` — regenerate the paper's tables/figures as text
   (the per-figure benchmarks with one command).
 * ``repro-obs`` — compile + match one ruleset with the observability
@@ -43,8 +44,6 @@ import repro.obs as obs
 from repro.anml.reader import read_anml
 from repro.counting import DEFAULT_MIN_COUNT_BOUND
 from repro.engine.dense import DEFAULT_PROMOTE_AFTER
-from repro.engine.imfant import IMfantEngine
-from repro.engine.multithread import run_pool
 from repro.guard.budget import Budget
 from repro.guard.degrade import GuardedMatcher
 from repro.guard.errors import (
@@ -86,7 +85,7 @@ def _guarded(func):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (threads, strides)."""
+    """argparse type for counts that must be >= 1 (strides, shard and queue sizes)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
@@ -282,8 +281,6 @@ def match_main(argv: list[str] | None = None) -> int:
     source.add_argument("--ruleset", type=Path, help="compile this ruleset on the fly")
     parser.add_argument("-m", "--merging-factor", type=int, default=0,
                         help="merging factor when compiling on the fly")
-    parser.add_argument("-t", "--threads", type=_positive_int, default=1,
-                        help="thread-pool size for multi-MFSA execution")
     parser.add_argument("--backend",
                         choices=("python", "lazy", "dense", "counting"),
                         default="python")
@@ -334,7 +331,6 @@ def match_main(argv: list[str] | None = None) -> int:
             backend=args.backend,
             degrade=args.degrade == "auto",
             scan_deadline=args.deadline,
-            threads=args.threads,
             single_match=args.single_match,
         )
         run = matcher.run(data)
@@ -344,7 +340,7 @@ def match_main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - started
 
     print(f"matched {len(data)} bytes against {len(mfsas)} MFSA(s) "
-          f"({sum(len(m.initials) for m in mfsas)} rules) on {args.threads} thread(s)")
+          f"({sum(len(m.initials) for m in mfsas)} rules)")
     print(f"matches: {len(matches)}   time: {elapsed:.4f}s   "
           f"transitions examined: {stats.transitions_examined}")
     for step in degradations:
@@ -644,7 +640,6 @@ def obs_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--stream-size", type=int, default=65536, metavar="BYTES",
                         help="generated stream size (default 64 KiB)")
     parser.add_argument("-m", "--merging-factor", type=int, default=0)
-    parser.add_argument("-t", "--threads", type=_positive_int, default=1)
     parser.add_argument("--backend",
                         choices=("python", "lazy", "dense", "counting"),
                         default="python")
@@ -682,11 +677,9 @@ def obs_main(argv: list[str] | None = None) -> int:
         )
         result = compilation.result
         assert result is not None
-        engines = [
-            IMfantEngine(m, backend=args.backend, scan_deadline=args.deadline)
-            for m in result.mfsas
-        ]
-        matches, stats = run_pool([lambda e=e: e.run(data) for e in engines], args.threads)
+        matches = GuardedMatcher(
+            result.mfsas, backend=args.backend, degrade=False, scan_deadline=args.deadline
+        ).run(data).matches
     cap.tracer.validate()
 
     print(f"captured {len(cap.tracer.spans())} span(s) and "

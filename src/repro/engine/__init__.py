@@ -18,14 +18,14 @@
 * :mod:`repro.engine.counters` — execution statistics (work counters).
 * :mod:`repro.engine.cost` — the work-based timing model used by the
   thread-scaling experiments.
-* :mod:`repro.engine.multithread` — multi-automata scheduling: a real
-  thread pool plus a deterministic machine-model simulator.
+* :mod:`repro.engine.multithread` — multi-automata scheduling on T
+  threads, modelled: a deterministic machine-model simulator.
 * :mod:`repro.engine.sfa` — composable chunk mappings (simultaneous run
   from every entry state): exact zero-overlap data parallelism for any
   ruleset (docs/parallelism.md).
-* :mod:`repro.engine.chunkscan` — chunk-parallel scanning over one
-  payload, and the scan plan it shares with the serve layer's shard
-  pool: overlap chunking when every rule's match width is bounded, SFA
+* :mod:`repro.engine.chunkscan` — chunked scanning over one payload,
+  and the scan plan it shares with the serve layer's shard pool:
+  overlap chunking when every rule's match width is bounded, SFA
   mappings when one is not — chosen from the compiled automaton.
 """
 
@@ -38,7 +38,6 @@ from repro.engine.tables import ByteClasses, FsaTables, MfsaTables, byte_classes
 from repro.engine.cost import CostModel
 from repro.engine.multithread import (
     MachineModel,
-    run_pool,
     simulate_parallel_latency,
 )
 from repro.engine.sfa import ChunkMapping, SfaScanner, fold_mappings
@@ -59,7 +58,6 @@ __all__ = [
     "MfsaTables",
     "CostModel",
     "MachineModel",
-    "run_pool",
     "simulate_parallel_latency",
     "ChunkMapping",
     "SfaScanner",

@@ -1,8 +1,11 @@
-"""Chunk-parallel scanning of one stream, and the scan plan behind it.
+"""Chunked scanning of one stream, and the scan plan behind it.
 
 Figs. 9–10 parallelise across *automata*; the orthogonal axis is
 parallelising one automaton across *stream chunks* — the standard
-technique when one flow dominates.  Two parallel strategies exist:
+technique when one flow dominates.  Chunks scan independently of each
+other, so worker processes can take them
+(:class:`~repro.serve.shards.ShardPool`); :func:`chunk_scan` runs them
+in order in the calling process.  Two strategies exist:
 
 * ``"overlap"`` — the classic bounded-width scheme: a match of width
   ≤ w that crosses a chunk boundary lies entirely within a w-byte lead
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.engine.imfant import IMfantEngine
-from repro.engine.multithread import map_pool
 from repro.engine.sfa import SfaScanner, fold_mappings
 from repro.guard.errors import UsageError
 from repro.mfsa.model import Mfsa, empty_matching_rules
@@ -185,11 +187,10 @@ def chunk_scan(
     mfsa,
     data: bytes | str,
     chunk_size: int = 4096,
-    num_threads: int = 4,
     backend: str = "python",
     scan_deadline: Optional[float] = None,
 ) -> set[tuple[int, int]]:
-    """Scan ``data`` in parallel chunks; returns the single-shot matches.
+    """Scan ``data`` chunk by chunk; returns the single-shot matches.
 
     Plans ``ceil(len / chunk_size)`` chunks under :func:`resolve_strategy`
     (the planner lowers the count when chunks would not outgrow the
@@ -199,13 +200,10 @@ def chunk_scan(
     and ignore it.  ``scan_deadline`` applies per chunk; a chunk
     exceeding it raises :class:`~repro.guard.errors.ScanDeadlineExceeded`.
 
-    Under ``backend="lazy"`` (and ``"dense"``, which layers compiled
-    tables above the same cache) each overlap-chunk worker *owns* its
-    cache: workers run concurrently and the lazy cache is single-writer
-    mutable state, so sharing one would either race or need a lock on
-    the hot path.  The per-chunk caches share the engine's immutable tables (via
-    :meth:`IMfantEngine.fork`) and their cold-start misses amortise over
-    the chunk length.
+    One engine (or one :class:`~repro.engine.sfa.SfaScanner`) runs the
+    planned chunks in order.  Every run starts from the empty frontier,
+    so the chunks share one lazy cache exactly, and later chunks scan
+    on the cache the earlier ones warmed.
     """
     payload = data.encode("latin-1") if isinstance(data, str) else data
     if chunk_size < 1:
@@ -215,16 +213,10 @@ def chunk_scan(
     jobs = plan_shards(len(payload), chunks, 0 if strategy == "sfa" else width)
     if strategy == "sfa" and len(jobs) > 1:
         scanner = SfaScanner(mfsa, scan_deadline=scan_deadline)
-        mappings = map_pool(
-            [
-                lambda job=job: scanner.scan_chunk(
-                    payload[job.segment_slice], collect_stats=False
-                ).mapping
-                for job in jobs
-            ],
-            num_threads=num_threads,
-            label="chunk_scan",
-        )
+        mappings = [
+            scanner.scan_chunk(payload[job.segment_slice], collect_stats=False).mapping
+            for job in jobs
+        ]
         matches, _exit = fold_mappings(
             mappings, [job.stop - job.start for job in jobs], scanner
         )
@@ -232,20 +224,10 @@ def chunk_scan(
         engine = IMfantEngine(mfsa, backend=backend, scan_deadline=scan_deadline)
         if len(jobs) == 1:
             return engine.run(payload, collect_stats=False).matches
-        # each worker gets private mutable state (its own lazy cache);
-        # fork() is cheap (tables are shared, never rebuilt)
-        found = map_pool(
-            [
-                lambda job=job, worker=engine.fork(): rebase_matches(
-                    worker.run(payload[job.segment_slice], collect_stats=False).matches,
-                    job,
-                )
-                for job in jobs
-            ],
-            num_threads=num_threads,
-            label="chunk_scan",
-        )
-        matches = set().union(*found)
+        matches = set()
+        for job in jobs:
+            found = engine.run(payload[job.segment_slice], collect_stats=False).matches
+            matches |= rebase_matches(found, job)
     # ε-accepting rules match at every offset; chunks only see their own
     # ranges (mappings skip them entirely), so complete the full range
     for rule in empty_matching_rules(mfsa):

@@ -61,8 +61,8 @@ __all__ = ["RegisterBank"]
 
 class RegisterBank:
     """The counting arcs of one automaton, compiled to the packed layout
-    and its step tables (immutable; built with the engine, shared by its
-    forks).  See the module docstring for what each table holds."""
+    and its step tables (immutable; built once with the engine).  See
+    the module docstring for what each table holds."""
 
     __slots__ = ("keep", "sticky", "window", "guard", "live", "_entry", "_exit")
 

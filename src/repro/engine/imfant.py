@@ -43,7 +43,6 @@ counters; tests enforce the agreement.
 
 from __future__ import annotations
 
-import copy
 import time
 
 import repro.obs as obs
@@ -94,7 +93,9 @@ class IMfantEngine:
     :class:`~repro.engine.lazy.LazyConfigCache` owned by the engine,
     bounded at :data:`~repro.engine.lazy.DEFAULT_CACHE_SIZE` entries (a
     full cache flushes, see :mod:`repro.engine.lazy`); the cache stays
-    warm across :meth:`run` calls.
+    warm across :meth:`run` calls.  An engine runs one scan at a time:
+    the cache has a single writer, so callers that share an engine
+    across threads take turns (the serve pool's scan lock).
 
     ``backend="dense"`` starts out as the lazy backend and
     auto-promotes: once :data:`~repro.engine.dense.DEFAULT_PROMOTE_AFTER`
@@ -217,16 +218,6 @@ class IMfantEngine:
                 stage="counting.registers",
             ) from exc
         return RegisterBank(self.counting_mfsa)
-
-    def fork(self) -> "IMfantEngine":
-        """A new engine sharing this one's (immutable) tables but owning
-        private mutable state — under every backend but ``"python"``
-        that is a fresh, cold cache (and no compiled tier yet).  The
-        cheap way to give each worker thread its own engine without
-        rebuilding the transition tables."""
-        clone = copy.copy(self)
-        clone._init_backend()
-        return clone
 
     def _deadline_at(self, started: float) -> float | None:
         return started + self.scan_deadline if self.scan_deadline is not None else None

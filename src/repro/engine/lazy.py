@@ -83,8 +83,7 @@ class LazyConfigCache:
     """Bounded memo of frontier transitions for one :class:`MfsaTables`.
 
     The cache owns all mutable lazy-backend state; the tables it wraps
-    are immutable after construction, so several caches can share one
-    table set (per-thread caches — see :meth:`IMfantEngine.fork`).
+    are immutable after construction.
 
     Entry layout (a plain tuple, unpacked in the hot loop):
     ``(next_config_id, emit_slots, emit_mask, transitions_taken)``.

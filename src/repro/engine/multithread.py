@@ -1,34 +1,28 @@
-"""Multi-automata execution over a thread pool (paper §VI-C2).
+"""Multi-automata execution on T threads, modelled (paper §VI-C2).
 
 The paper's multi-threaded runs distribute automata over T threads: "each
 thread manages different automata asynchronously, selecting an MFSA at a
 time from the remaining ones until all are executed"; the measured time
 is the latency to complete the whole ruleset.
 
-Two facilities are provided:
-
-* :func:`run_pool` — a real ``ThreadPoolExecutor`` runner: functionally
-  correct parallel matching (the GIL limits wall-clock speedup for the
-  interpretive engines, so its timing is not used for figures).
-* :func:`simulate_parallel_latency` — a deterministic machine-model
-  simulation: dynamic FIFO list scheduling of per-automaton work values
-  onto T workers, executed by a machine with ``physical_cores`` full-speed
-  cores plus diminishing SMT capacity up to ``hardware_threads`` (the
-  paper's i7-6700 is 4C/8T).  Workers beyond hardware threads time-share.
-  This reproduces the shape of Fig. 10: time halving per thread doubling
-  up to the core count, a plateau beyond, and MFSAs reaching the multi-
-  FSA best latency with far fewer threads.
+CPython never runs two scans at once, so a thread pool around the
+engines measured no faster than one thread (docs/parallelism.md) and
+the repository runs automata one after another.  Fig. 10 comes from
+:func:`simulate_parallel_latency` — a deterministic machine-model
+simulation: dynamic FIFO list scheduling of per-automaton work values
+onto T workers, executed by a machine with ``physical_cores`` full-speed
+cores plus diminishing SMT capacity up to ``hardware_threads`` (the
+paper's i7-6700 is 4C/8T).  Workers beyond hardware threads time-share.
+This reproduces the shape of Fig. 10: time halving per thread doubling
+up to the core count, a plateau beyond, and MFSAs reaching the multi-
+FSA best latency with far fewer threads.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import repro.obs as obs
-from repro.engine.counters import ExecutionStats, RunResult
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -116,61 +110,3 @@ def lpt_schedule_makespan(works: Sequence[float], num_threads: int) -> float:
     after one profiling pass), so the scheduling ablation compares both.
     """
     return list_schedule_makespan(sorted(works, reverse=True), num_threads)
-
-
-def map_pool(
-    tasks: Sequence[Callable[[], object]],
-    num_threads: int,
-    label: str = "map_pool",
-) -> list:
-    """Execute ``tasks`` on a real thread pool, preserving order.
-
-    The order-preserving sibling of :func:`run_pool` for workloads whose
-    results are *positional* rather than a set union — chunk mappings
-    composed left-to-right (:mod:`repro.engine.sfa`) being the driving
-    case.  Same observability contract: one ``label`` span wrapping
-    per-task ``<label>.worker`` child spans that close (marked) even
-    when a task raises; the exception propagates to the caller.
-    """
-    if num_threads < 1:
-        raise ValueError("num_threads must be >= 1")
-    with obs.span(label, tasks=len(tasks), threads=num_threads) as pool_span:
-
-        def invoke(item: tuple[int, Callable[[], object]]) -> object:
-            index, task = item
-            with obs.span(f"{label}.worker", parent=pool_span, task=index):
-                return task()
-
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            return list(pool.map(invoke, enumerate(tasks)))
-
-
-def run_pool(
-    runners: Sequence[Callable[[], RunResult]],
-    num_threads: int,
-) -> tuple[set[tuple[int, int]], ExecutionStats]:
-    """Execute engine runs on a real thread pool; returns the union of
-    matches and the merged statistics.  Functional correctness only —
-    wall-clock scaling is limited by the GIL for the Python engines.
-
-    Observability: the whole pool run is one ``run_pool`` span; each
-    runner executes inside a ``run_pool.worker`` child span explicitly
-    parented to it (workers run on pool threads, so automatic per-thread
-    nesting cannot see the caller's stack).  Worker spans close even
-    when a runner raises — the exception marks the span and propagates.
-    """
-    matches: set[tuple[int, int]] = set()
-    totals = ExecutionStats()
-    with obs.span("run_pool", automata=len(runners), threads=num_threads) as pool_span:
-
-        def invoke(item: tuple[int, Callable[[], RunResult]]) -> RunResult:
-            index, runner = item
-            with obs.span("run_pool.worker", parent=pool_span, automaton=index):
-                return runner()
-
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            for result in pool.map(invoke, enumerate(runners)):
-                matches |= result.matches
-                totals.merge(result.stats)
-        pool_span.set(matches=len(matches))
-    return matches, totals

@@ -66,7 +66,6 @@ rebuilt per process from the same MFSA and re-attached via
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -240,9 +239,10 @@ class SfaScanner:
     """Simultaneous-run scanner for one MFSA: builds, composes and
     applies :class:`ChunkMapping`\\ s.
 
-    Immutable after construction and safe to share across threads
-    (scans keep their state in locals); build one per process and
-    :meth:`attach` mappings that crossed a process boundary.
+    A scanner runs one scan at a time, as an
+    :class:`~repro.engine.imfant.IMfantEngine` does: bulk scans warm its
+    own lazy cache, which has a single writer.  Build one per process
+    and :meth:`attach` mappings that crossed a process boundary.
     """
 
     def __init__(
@@ -265,11 +265,14 @@ class SfaScanner:
         self.scan_deadline = scan_deadline
         self.tables = tables if tables is not None else MfsaTables.build(mfsa)
         self._build_index()
-        #: per-thread bulk-kernel state (lazy cache + dense tier over
-        #: the extended column layout) — caches are single-writer
-        #: mutable, so each scanning thread owns one; the scanner
-        #: itself stays shareable
-        self._bulk = threading.local()
+        #: bulk-kernel state: a lazy cache and dense tier over the
+        #: extended column layout, built by the first bulk scan
+        self._bulk_cache: Optional[LazyConfigCache] = None
+        self._bulk_tier: Optional[DenseTier] = None
+        self._bulk_disabled = False
+        self._bulk_start_config = 0
+        self._bulk_since_build = 0
+        self._bulk_configs_at_check = 0
         self._ext_tables_cache: Optional[MfsaTables] = None
 
     # -- index construction ------------------------------------------------
@@ -491,7 +494,7 @@ class SfaScanner:
         back to the interpretive pass (build failure, or a mid-scan
         cache flush that invalidated the tier).
 
-        The per-thread cache interprets cold regions (warming as it
+        The scanner's cache interprets cold regions (warming as it
         goes) and the compiled tier bulk-steps warm ones — chunk scans
         start at lazy-cache speed and converge to dense speed as the
         entry-pair config graph stabilises.  ``linear_ops`` is reported
@@ -500,50 +503,51 @@ class SfaScanner:
         ``collect_stats=True`` scans, which keep the exact interpretive
         loop.
         """
-        st = self._bulk
-        if getattr(st, "disabled", False):
+        if self._bulk_disabled:
             return None
-        cache = getattr(st, "cache", None)
+        cache = self._bulk_cache
         if cache is None:
-            cache = LazyConfigCache(self._ext_tables(), pop_on_final=self.pop_on_final)
-            st.cache = cache
-            st.tier = None
-        tier = st.tier
+            cache = self._bulk_cache = LazyConfigCache(
+                self._ext_tables(), pop_on_final=self.pop_on_final
+            )
+        tier = self._bulk_tier
         if tier is not None and not tier.valid():
             tier = None  # flushed between chunks: ids renumbered
-        if tier is not None and st.since_build >= self._rebuild_traffic(tier, cache):
+        if tier is not None and self._bulk_since_build >= self._rebuild_traffic(
+            tier, cache
+        ):
             # End of a de-opt observation window.  Fold the de-opt
             # region into a fresh tier only when the graph *stabilised*
             # over the window; a graph still minting configs (dotstar-
             # style entry-pair explosion) would make every rebuild
             # bigger and still useless, so just open a new window.
-            grown = cache.num_configs - st.configs_at_check
-            st.configs_at_check = cache.num_configs
-            st.since_build = 0
+            grown = cache.num_configs - self._bulk_configs_at_check
+            self._bulk_configs_at_check = cache.num_configs
+            self._bulk_since_build = 0
             if (
                 grown < _BULK_STABLE_GROWTH
                 and tier.num_configs < cache.num_configs <= _BULK_MAX_CONFIGS
             ):
                 tier = None
         if tier is None:
-            st.start_config = cache.config_id_of(self._start_frontier())
+            self._bulk_start_config = cache.config_id_of(self._start_frontier())
             try:
                 tier = DenseTier.build(cache)
             except AllocationFailed:
-                st.disabled = True
+                self._bulk_disabled = True
                 return None
-            st.tier = tier
-            st.since_build = 0
-            st.configs_at_check = cache.num_configs
+            self._bulk_tier = tier
+            self._bulk_since_build = 0
+            self._bulk_configs_at_check = cache.num_configs
 
         outcome = tier.scan(
             payload,
-            start_config=st.start_config,
+            start_config=self._bulk_start_config,
             deadline_at=deadline_at,
         )
-        st.since_build += outcome.deopt_bytes
+        self._bulk_since_build += outcome.deopt_bytes
         if outcome.reason == "invalidated":
-            st.tier = None  # rebuilt (and start re-interned) next chunk
+            self._bulk_tier = None  # rebuilt (and start re-interned) next chunk
             return None
 
         # decode emission events: slots below pair_shift are const
@@ -636,7 +640,7 @@ class SfaScanner:
         mapping is never returned: partial mappings do not compose.
 
         ``collect_stats=False`` scans take the dense **bulk kernel**
-        (:meth:`_bulk_scan_chunk`): a per-thread lazy cache + compiled
+        (:meth:`_bulk_scan_chunk`): the scanner's lazy cache + compiled
         tier over the extended entry-pair columns replaces the
         byte-by-byte interpretation — same mapping, byte-identical
         matches (property-tested).  Stats scans keep the interpretive

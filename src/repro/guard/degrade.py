@@ -48,10 +48,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import repro.obs as obs
-from repro.engine.counters import ExecutionStats
+from repro.engine.counters import ExecutionStats, RunResult
 from repro.engine.imfant import BACKENDS, IMfantEngine
-from repro.engine.multithread import run_pool
-from repro.guard.errors import AllocationFailed, UsageError
+from repro.guard.errors import AllocationFailed, ScanDeadlineExceeded, UsageError
 from repro.guard.quarantine import QuarantineReport
 
 __all__ = [
@@ -147,7 +146,6 @@ class GuardedMatcher:
         backend: str = "python",
         degrade: bool = True,
         scan_deadline: Optional[float] = None,
-        threads: int = 1,
         single_match: bool = False,
         budget=None,
     ) -> None:
@@ -159,7 +157,6 @@ class GuardedMatcher:
         self.backend = backend
         self.degrade = degrade
         self.scan_deadline = scan_deadline
-        self.threads = threads
         self.single_match = single_match
         self.budget = budget
         self.degradations: list = []
@@ -224,11 +221,14 @@ class GuardedMatcher:
     # -- matching ---------------------------------------------------------
 
     def run(self, data) -> GuardedRunResult:
-        """Scan ``data``; returns matches in original rule ids.
+        """Scan ``data`` with each engine in turn; returns matches in
+        original rule ids.
 
         Retries on allocation failure (one ladder step per retry);
         checks for lazy-cache thrash afterwards and pre-degrades the
-        *next* run.  :class:`ScanDeadlineExceeded` propagates.
+        *next* run.  :class:`ScanDeadlineExceeded` propagates, its
+        partial holding the engines that finished plus the one that
+        timed out, in original rule ids.
         """
         payload = data.encode("latin-1") if isinstance(data, str) else data
         with obs.span("guard.run", backend=self.backend, automata=len(self.mfsas)):
@@ -236,9 +236,7 @@ class GuardedMatcher:
                 engines = self._ensure_engines()
                 before = self._cache_totals(engines)
                 try:
-                    matches, stats = run_pool(
-                        [lambda e=e: e.run(payload) for e in engines], self.threads
-                    )
+                    matches, stats = self._scan(engines, payload)
                     break
                 except AllocationFailed as exc:
                     if not (self.degrade and self._degrade(self._alloc_reason(exc))):
@@ -249,8 +247,7 @@ class GuardedMatcher:
             if self.degrade and used_backend in ("lazy", "dense"):
                 self._check_thrash(engines, before)
 
-        if self.rule_map is not None:
-            matches = {(self.rule_map[rule], end) for rule, end in matches}
+        matches = self._original_ids(matches)
         fallback_rules = []
         for entry in self.quarantine.salvaged():
             from repro.automata.simulate import find_match_ends
@@ -265,6 +262,29 @@ class GuardedMatcher:
             degradations=list(self.degradations),
             fallback_rules=fallback_rules,
         )
+
+    def _scan(self, engines, payload: bytes) -> tuple[set, ExecutionStats]:
+        """Every engine over ``payload``, one after another: the union of
+        their matches and their merged stats."""
+        matches: set = set()
+        totals = ExecutionStats()
+        for engine in engines:
+            try:
+                result = engine.run(payload)
+            except ScanDeadlineExceeded as exc:
+                if exc.partial is not None:
+                    matches |= exc.partial.matches
+                    totals.merge(exc.partial.stats)
+                exc.partial = RunResult(matches=self._original_ids(matches), stats=totals)
+                raise
+            matches |= result.matches
+            totals.merge(result.stats)
+        return matches, totals
+
+    def _original_ids(self, matches: set) -> set:
+        if self.rule_map is None:
+            return matches
+        return {(self.rule_map[rule], end) for rule, end in matches}
 
     def _check_dense_demotion(self, engines) -> None:
         """Step to ``lazy`` when any engine's dense promotion failed

@@ -8,8 +8,8 @@ Three outputs, matching how runs are actually inspected:
 * **Chrome trace-event format** (:func:`spans_to_chrome_trace`) — loads
   directly into Perfetto / ``chrome://tracing``; spans become complete
   (``"ph": "X"``) events with microsecond timestamps, one lane per
-  thread (pool workers from :mod:`repro.engine.multithread` each get
-  their own lane, named via ``"M"`` metadata events).
+  thread (the serve dispatcher's scan threads each get their own lane,
+  named via ``"M"`` metadata events).
 * **Prometheus text exposition** (:func:`metrics_to_prometheus`) —
   counters/gauges as samples, histograms as cumulative ``_bucket{le=}``
   series plus ``_sum``/``_count``, ready for a scrape endpoint or

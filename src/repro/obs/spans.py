@@ -1,10 +1,11 @@
 """Structured span tracing: the timing substrate of the observability layer.
 
 A *span* is one named, attributed interval of work — a compile stage, an
-engine run, a merge step, a worker's slice of a thread-pool run.  Spans
-nest: each thread keeps a stack, so ``with span("a"): with span("b")``
-records ``b`` as a child of ``a``; cross-thread children (pool workers
-under the pool's run span) pass ``parent=`` explicitly.  Every span
+engine run, a merge step, a served request's scan.  Spans nest: each
+thread keeps a stack, so ``with span("a"): with span("b")`` records
+``b`` as a child of ``a``; cross-thread children (a served scan on its
+``asyncio.to_thread`` thread, under the request span) pass ``parent=``
+explicitly.  Every span
 carries wall time (``time.perf_counter``) *and* CPU time
 (``time.thread_time``), so off-CPU waits are visible, plus free-form
 attributes attached at open or close.
@@ -225,7 +226,7 @@ class Tracer:
         """Open a span as a context manager.
 
         Nesting is automatic within a thread; pass ``parent=`` to adopt a
-        span from another thread (e.g. pool workers under the pool span).
+        span from another thread (e.g. a served scan under its request span).
         A ``parent`` that is the no-op span (observability was off when it
         was created) is treated as "no explicit parent".
 

@@ -7,9 +7,8 @@ The serving layer on top of the compile→match pipeline (docs/serving.md):
   and every worker process — loads the MFSAs via
   :mod:`repro.mfsa.serialize` instead of recompiling;
 * :mod:`repro.serve.shards` — :class:`ShardPool`: one in-process scan
-  per payload over per-thread
-  :meth:`~repro.engine.imfant.IMfantEngine.fork` engines, or data-
-  parallel jobs on worker processes under chunkscan's scan plan
+  per payload over the pool's one engine set, one scan at a time, or
+  data-parallel jobs on worker processes under chunkscan's scan plan
   (overlap/stitch or SFA mappings, chosen from the compiled automaton);
   deadline-bounded partial results and the guard backend-degradation
   ladder;

@@ -19,10 +19,12 @@ socket, coalesces them into batches, and hands each payload to the
    worker crash costs that one request a 500, not the service — and a
    done-callback restarts the loop if a bug escapes anyway.
 3. **Batch the front, shard the back.**  The dispatcher drains up to
-   ``batch_max`` queued requests per cycle and scans them concurrently
-   — each on its own thread, over that thread's engine forks (or, with
-   ``shards > 1``, as jobs on the worker processes), so one giant
-   payload does not serialize the queue behind it.
+   ``batch_max`` queued requests per cycle and hands each scan to a
+   thread (``asyncio.to_thread``), so the loop keeps accepting while
+   they run.  An in-process pool scans them one after another over its
+   one engine set (CPython never runs two scans at once); with
+   ``shards > 1`` the jobs run on the worker processes, where the
+   requests of a batch overlap.
 4. **Observable.**  Queue-depth gauge, request/reject/partial counters,
    batch-size and queue-wait histograms, per-shard throughput (via the
    pool) — all on the active :mod:`repro.obs` registry, exportable with

@@ -8,11 +8,12 @@ them.  CPython threads never scan at the same time, so only worker
 processes split a payload; ``num_shards`` alone picks the path:
 
 * **In process** (``num_shards == 1``, the default) — the whole payload
-  is one job on the calling thread, over that thread's byte-engine
-  forks (:meth:`IMfantEngine.fork` clones: shared immutable tables,
-  private lazy caches, kept in a thread-local so concurrent requests
-  share no lock and no cache).  No executor, no split, no SFA scanner,
-  whatever plan the automata would admit.
+  is one job on the calling thread, over the pool's one engine set.
+  CPython never runs two scans at once, so scans that share the engines
+  run one after another under the pool's scan lock (lazy caches have a
+  single writer), and every request warms the same caches.  No
+  executor, no split, no SFA scanner, whatever plan the automata would
+  admit.
 * **Planning** (``num_shards > 1``) — the artifact's automata choose
   the plan once (:func:`~repro.engine.chunkscan.resolve_strategy`):
   overlap jobs with a per-rule width lead, zero-lead SFA mapping jobs
@@ -35,19 +36,21 @@ processes split a payload; ``num_shards`` alone picks the path:
   while building engines steps the pool down the
   :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → python)
   and retries, mirroring :class:`~repro.guard.degrade.GuardedMatcher`;
-  every step increments ``guard_degradations_total``.
+  every step drops the engine set, which the next scan rebuilds at the
+  new backend, and increments ``guard_degradations_total``.
 * **Supervision** — a dead worker process (OOM-kill, segfault, drill)
   is restarted at the *same* backend under the pool's :class:`~repro.
   serve.resilience.ShardSupervisor` (exponential backoff; a restart
   storm opens a circuit breaker and scans run in process, as one job,
   until the cooldown passes); a worker wedged past **twice** the scan
   deadline is hard-killed by a per-scan watchdog and its jobs re-scanned
-  inline — exactly, because a job's SFA mapping (or overlap segment)
-  recomputes identically wherever it runs.
+  inline under the scan lock — exactly, because a job's SFA mapping (or
+  overlap segment) recomputes identically wherever it runs.
 * **Deadlines** — the scan's absolute expiry travels with every job and
   each job recomputes its *remaining* wall clock when it actually starts
-  on a worker, so time spent queued behind other jobs still counts; a
-  job that blows it returns the honest partial result carried by
+  on a worker (or gets the scan lock), so time spent queued behind other
+  jobs or scans still counts; a job that blows it returns the honest
+  partial result carried by
   :class:`~repro.guard.errors.ScanDeadlineExceeded` and the pool marks
   the scan ``partial`` instead of hanging or discarding the other
   shards' work.  A mapping lost to the deadline still contributes its
@@ -71,7 +74,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from threading import Lock, local
+from threading import Lock
 from typing import Optional, Sequence
 
 import repro.obs as obs
@@ -322,19 +325,22 @@ class ShardPool:
             resolve_strategy(artifact.mfsas) if num_shards > 1 else ("overlap", None)
         )
         #: the per-segment scan the plan picks for worker jobs and their
-        #: rescues, chosen once: SFA scanners (shared, immutable) or this
-        #: thread's byte-engine forks
+        #: rescues, chosen once: the pool's SFA scanners or its engines
         self._segment_scan = (
             (_scan_segment_mappings, ShardPool._ensure_scanners)
             if self.strategy == "sfa"
-            else (_scan_segment, ShardPool._worker_engines)
+            else (_scan_segment, ShardPool._ensure_engines)
         )
         self.degradations: list[DegradationStep] = []
         self._scanners: Optional[list[SfaScanner]] = None
+        self._engines: Optional[list[IMfantEngine]] = None
+        #: guards the pool's bookkeeping; taken on the event-loop thread
+        #: and inside engine builds, so never held for a scan
         self._lock = Lock()
-        self._local = local()
-        self._generation = 0  # bumped on degradation; invalidates worker forks
-        self._templates: Optional[list[IMfantEngine]] = None
+        #: held by every scan over the pool's own engines or scanners:
+        #: lazy caches have a single writer, and ``_scan_segment`` sets
+        #: each engine's ``scan_deadline``
+        self._scan_lock = Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._empty_matching_rules = [
             rule for mfsa in artifact.mfsas for rule in empty_matching_rules(mfsa)
@@ -362,10 +368,10 @@ class ShardPool:
         return self._executor
 
     def _ensure_scanners(self) -> list[SfaScanner]:
-        """The pool's simultaneous-run scanners (one per MFSA) — built
-        once, immutable, safely shared by every thread; the dispatcher
-        reduce attaches/applies the workers' mappings with them, and a
-        watchdog rescue recomputes a lost job's mapping."""
+        """The pool's simultaneous-run scanners (one per MFSA), built
+        once; the dispatcher reduce attaches/applies the workers'
+        mappings with them, and a watchdog rescue recomputes a lost
+        job's mapping under the scan lock."""
         with self._lock:
             if self._scanners is None:
                 self._scanners = [SfaScanner(mfsa) for mfsa in self.artifact.mfsas]
@@ -384,8 +390,7 @@ class ShardPool:
             )
             self.backend = step.to_backend
             self.degradations.append(step)
-            self._templates = None
-            self._generation += 1
+            self._engines = None
             if self._executor is not None:
                 # process workers bake the backend into their initializer
                 self._executor.shutdown(wait=True)
@@ -398,35 +403,20 @@ class ShardPool:
             ).inc()
         return True
 
-    def _ensure_templates(self) -> list[IMfantEngine]:
+    def _ensure_engines(self) -> list[IMfantEngine]:
+        """The pool's one engine set, built on first use and again at the
+        new backend after a ladder step; callers hold the scan lock."""
         while True:
             with self._lock:
-                if self._templates is not None:
-                    return self._templates
+                if self._engines is not None:
+                    return self._engines
                 try:
-                    self._templates = _build_engines(self.artifact.mfsas, self.backend)
-                    return self._templates
+                    self._engines = _build_engines(self.artifact.mfsas, self.backend)
+                    return self._engines
                 except AllocationFailed as exc:
                     failure = exc
             if not self._degrade(alloc_degrade_reason(failure)):
                 raise failure
-
-    def _worker_engines(self) -> list[IMfantEngine]:
-        """This thread's private engine forks (rebuilt after any
-        degradation — the generation stamp invalidates stale forks)."""
-        templates = self._ensure_templates()
-        state = self._local
-        if getattr(state, "generation", None) != self._generation:
-            while True:
-                try:
-                    state.engines = [template.fork() for template in templates]
-                    break
-                except AllocationFailed as exc:
-                    if not self._degrade(alloc_degrade_reason(exc)):
-                        raise
-                    templates = self._ensure_templates()
-            state.generation = self._generation
-        return state.engines
 
     def _recover_workers(self, failure: BaseException) -> bool:
         """Replace dead process workers and step the ladder; False when
@@ -479,20 +469,21 @@ class ShardPool:
         deadline: Optional[float],
         collect_stats: bool,
     ) -> tuple:
-        """Re-scan one job inline on the dispatcher thread — the exact
-        fallback when the job's worker died or wedged.  Mapping jobs
-        recompute the slice's :class:`ChunkMapping` (the monoid composes
-        identically whoever computed it); overlap jobs re-run the byte
-        engines.  The rescue gets a fresh copy of the relative deadline:
-        the original budget died with the worker, and an honest partial
-        beats an empty answer."""
+        """Re-scan one job inline on the dispatcher thread, under the
+        scan lock — the exact fallback when the job's worker died or
+        wedged.  Mapping jobs recompute the slice's :class:`ChunkMapping`
+        (the monoid composes identically whoever computed it); overlap
+        jobs re-run the byte engines.  The rescue gets a fresh copy of
+        the relative deadline: the original budget died with the worker,
+        and an honest partial beats an empty answer."""
         deadline_at = (
             time.perf_counter() + deadline if deadline is not None else None
         )
         scan, workers = self._segment_scan
-        payload, stats, timed_out = scan(
-            workers(self), data[job.segment_slice], deadline_at, collect_stats
-        )
+        with self._scan_lock:
+            payload, stats, timed_out = scan(
+                workers(self), data[job.segment_slice], deadline_at, collect_stats
+            )
         self._count(
             "serve_rescued_jobs_total",
             "shard jobs re-scanned inline after a worker death or hang",
@@ -697,11 +688,13 @@ class ShardPool:
         trace_id: Optional[str],
         parent: Optional[obs.Span],
     ) -> tuple[set, ExecutionStats, list[int], int, str]:
-        """The whole payload as one job on the calling thread, over this
-        thread's engine forks: every scan of an in-process pool, and a
-        process pool's scans while its worker breaker is open.  Returns
+        """The whole payload as one job on the calling thread, over the
+        pool's engines: every scan of an in-process pool, and a process
+        pool's scans while its worker breaker is open.  Waiting for the
+        scan lock spends the absolute deadline (and shows in a trace as
+        the gap before ``serve.worker_scan``).  Returns
         ``(matches, stats, timed_out_jobs, jobs, strategy)``."""
-        with obs.span(
+        with self._scan_lock, obs.span(
             "serve.worker_scan",
             parent=parent,
             trace_id=trace_id,
@@ -709,7 +702,7 @@ class ShardPool:
             bytes=len(data),
         ) as span:
             matches, stats, timed_out = _scan_segment(
-                self._worker_engines(), data, deadline_at, collect_stats
+                self._ensure_engines(), data, deadline_at, collect_stats
             )
             span.set(timed_out=timed_out)
         _observe_job(stats)

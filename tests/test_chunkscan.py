@@ -98,7 +98,7 @@ class TestChunkScan:
         mfsa = build(patterns)
         stream = (b"abxyzabcd" * 300)
         expected = IMfantEngine(mfsa).run(stream).matches
-        got = chunk_scan(mfsa, stream, chunk_size=256, num_threads=4)
+        got = chunk_scan(mfsa, stream, chunk_size=256)
         assert got == expected
 
     def test_unbounded_scans_data_parallel(self):
@@ -149,7 +149,7 @@ class TestMappingChunkScan:
         assert resolve_strategy([mfsa]) == ("sfa", None)
         stream = (b"aabcabxb" * 217)
         expected = IMfantEngine(mfsa).run(stream).matches
-        got = chunk_scan(mfsa, stream, chunk_size=100, num_threads=4)
+        got = chunk_scan(mfsa, stream, chunk_size=100)
         assert got == expected
 
     def test_empty_payload(self):
@@ -171,4 +171,4 @@ def test_chunkscan_equivalence_property(data):
 
     mfsa = build(patterns)
     expected = IMfantEngine(mfsa).run(stream).matches
-    assert chunk_scan(mfsa, stream, chunk_size=chunk_size, num_threads=3) == expected
+    assert chunk_scan(mfsa, stream, chunk_size=chunk_size) == expected

@@ -80,7 +80,7 @@ class TestMatchMain:
     def test_lazy_backend_and_threads(self, ruleset_file, stream_file, capsys):
         assert match_main([
             str(stream_file), "--ruleset", str(ruleset_file),
-            "-m", "1", "-t", "2", "--backend", "lazy",
+            "-m", "1", "--backend", "lazy",
         ]) == 0
         assert "3 MFSA(s)" in capsys.readouterr().out
 
@@ -153,8 +153,9 @@ _MAINS = {"compile": compile_main, "match": match_main, "obs": obs_main,
 
 
 class TestEngineTuningFlagsRemoved:
-    """The engine owns its cache bound and promotion threshold (the match
-    cases live in TestMatchMain)."""
+    """The engine owns its cache bound and promotion threshold, and
+    automata scan one after another (the match knob cases live in
+    TestMatchMain)."""
 
     @pytest.mark.parametrize("command,extra", [
         pytest.param("obs", ["--backend", "lazy", "--lazy-cache-size", "16"],
@@ -163,6 +164,8 @@ class TestEngineTuningFlagsRemoved:
                      id="serve-lazy-cache-size"),
         pytest.param("obs", ["--backend", "dense", "--dense-promote-after", "256"],
                      id="obs-dense-promote-after"),
+        pytest.param("match", ["-t", "2"], id="match-threads"),
+        pytest.param("obs", ["-t", "2"], id="obs-threads"),
     ])
     def test_flag_exits_2(self, command, extra, ruleset_file, stream_file,
                           tmp_path, capsys):

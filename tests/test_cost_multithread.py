@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 from repro.automata.optimize import compile_re_to_fsa
 from repro.engine.cost import CostModel, throughput
 from repro.engine.counters import ExecutionStats
-from repro.engine.imfant import IMfantEngine
 from repro.engine.multithread import (
     MachineModel,
     list_schedule_makespan,
-    run_pool,
     simulate_parallel_latency,
 )
-from repro.mfsa.merge import merge_fsas
-
-from conftest import compile_ruleset_fsas
 
 
 def stats(chars=100, examined=50, active=20) -> ExecutionStats:
@@ -130,20 +125,6 @@ class TestListSchedule:
     def test_errors(self):
         with pytest.raises(ValueError):
             list_schedule_makespan([1.0], 0)
-
-
-class TestRunPool:
-    def test_parallel_matches_union(self):
-        fsas = compile_ruleset_fsas(["ab", "cd", "e+f"])
-        mfsas = [merge_fsas([pair]) for pair in fsas]
-        text = "abcdeefxx"
-        engines = [IMfantEngine(m) for m in mfsas]
-        matches, totals = run_pool([lambda e=e: e.run(text) for e in engines], num_threads=3)
-        expected = set()
-        for m in mfsas:
-            expected |= IMfantEngine(m).run(text).matches
-        assert matches == expected
-        assert totals.chars_processed == 3 * len(text)
 
 
 class TestLptSchedule:

@@ -166,10 +166,9 @@ def test_every_backend_agrees_on_counting_compile(patterns, text):
     patterns=rulesets(),
     text=texts(max_size=200),
     chunk_size=st.integers(min_value=1, max_value=64),
-    threads=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=25, deadline=None)
-def test_cut_point_invariance(patterns, text, chunk_size, threads):
+def test_cut_point_invariance(patterns, text, chunk_size):
     """Chunked scans at arbitrary cut points equal the sequential scan —
     bounded counting rulesets via overlap chunking, unbounded ones via
     the automatic sequential fallback."""
@@ -178,10 +177,7 @@ def test_cut_point_invariance(patterns, text, chunk_size, threads):
         sequential = IMfantEngine(mfsa, backend="counting").run(
             text, collect_stats=False
         ).matches
-        chunked = chunk_scan(
-            mfsa, text, backend="counting",
-            chunk_size=chunk_size, num_threads=threads,
-        )
+        chunked = chunk_scan(mfsa, text, backend="counting", chunk_size=chunk_size)
         assert chunked == sequential
 
 

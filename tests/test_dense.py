@@ -280,7 +280,7 @@ class TestSfaBulkKernel:
         with faultinject.inject("alloc", "dense"):
             got = scanner.scan_chunk(payload, collect_stats=False)
         assert got.mapping == expect
-        assert scanner._bulk.disabled  # interpretive fallback from now on
+        assert scanner._bulk_disabled  # interpretive fallback from now on
         again = scanner.scan_chunk(payload, collect_stats=False)
         assert again.mapping == expect
 

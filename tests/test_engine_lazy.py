@@ -129,16 +129,6 @@ class TestCacheBehaviour:
         assert len(cache.transitions) <= 4
         assert cache.num_configs <= 4 + 2
 
-    def test_fork_gives_private_cold_cache(self):
-        mfsa = build(["ab"])
-        engine = IMfantEngine(mfsa, backend="lazy")
-        engine.run("ababab")
-        clone = engine.fork()
-        assert clone.tables is engine.tables
-        assert clone.lazy_cache is not engine.lazy_cache
-        assert clone.lazy_cache.stats.lookups == 0
-        assert clone.run("ababab").matches == engine.run("ababab").matches
-
     def test_cache_roundtrip_helpers(self):
         mfsa = build(["ab"])
         cache = LazyConfigCache(MfsaTables.build(mfsa))
@@ -186,8 +176,7 @@ class TestPlumbing:
         data = "abcadxbcabcd" * 200
         expected = IMfantEngine(mfsa).run(data).matches
         with faultinject.inject("lazy.cache_pressure", 64):
-            got = chunk_scan(mfsa, data, chunk_size=256, num_threads=4,
-                             backend="lazy")
+            got = chunk_scan(mfsa, data, chunk_size=256, backend="lazy")
         assert got == expected
 
     def test_hybrid_lazy(self):

@@ -8,6 +8,7 @@ import pytest
 
 import repro.obs as obs
 from repro.engine import counters
+from repro.engine.counters import ExecutionStats, RunResult
 from repro.engine.imfant import IMfantEngine
 from repro.guard import faultinject
 from repro.guard.budget import Budget
@@ -20,7 +21,7 @@ from repro.guard.errors import (
     ScanDeadlineExceeded,
 )
 from repro.guard.faultinject import InjectedFaultError
-from repro.pipeline.compiler import compile_ruleset
+from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 pytestmark = pytest.mark.guard
 
@@ -94,6 +95,25 @@ class TestScanFaults:
             with pytest.raises(ScanDeadlineExceeded) as info:
                 engine.run(payload)
         assert (0, 3) in info.value.partial.matches
+
+    def test_matcher_partial_keeps_finished_engines(self, monkeypatch):
+        """A deadline in the second automaton still reports the first
+        automaton's matches, and the partial speaks original rule ids."""
+        mfsas = compile_ruleset(["abc", "xyz"], CompileOptions(merging_factor=1)).mfsas
+        assert len(mfsas) == 2
+        matcher = GuardedMatcher(mfsas, rule_map=[7, 9])
+        timed_out = RunResult(matches={(1, 3)}, stats=ExecutionStats(chars_processed=3))
+
+        def blow_deadline(data, collect_stats=True):
+            raise ScanDeadlineExceeded("scan exceeded deadline", partial=timed_out)
+
+        monkeypatch.setattr(matcher._ensure_engines()[1], "run", blow_deadline)
+        payload = b"zzabczzxyz"
+        with pytest.raises(ScanDeadlineExceeded) as info:
+            matcher.run(payload)
+        partial = info.value.partial
+        assert partial.matches == {(7, 5), (9, 3)}
+        assert partial.stats.chars_processed == len(payload) + 3
 
     def test_no_deadline_means_no_check(self, mfsa):
         # armed delay but no deadline: slow, not fatal (stride gates fire)
@@ -202,8 +222,6 @@ class TestCountingRegisterPressure:
 
     @pytest.fixture
     def counting_mfsas(self):
-        from repro.pipeline.compiler import CompileOptions
-
         mfsas = compile_ruleset(
             ["ab{3,9}c", "x[0-9]{4,}y"],
             CompileOptions(counting=True, count_threshold=3, emit_anml=False),

@@ -118,8 +118,7 @@ class TestRunParallel:
         sequential = run(patterns, data)
         parallel = set()
         for mfsa in compile_mixed(patterns):
-            parallel |= chunk_scan(mfsa, data, backend="counting",
-                                   num_threads=4, chunk_size=32)
+            parallel |= chunk_scan(mfsa, data, backend="counting", chunk_size=32)
         assert parallel == sequential
 
     def test_auto_resolves_per_mfsa(self):

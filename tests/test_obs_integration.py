@@ -5,8 +5,8 @@ Covers the ISSUE-1 satellite requirements:
 * cross-backend metric agreement — the python and lazy iMFAnt backends
   produce *identical* active-set / frontier / transitions histograms
   (the work-counter agreement invariant extended to distributions);
-* multithread span integrity — every worker span nests under the pool's
-  run span, no orphan or unclosed spans, even when a worker raises.
+* CLI span capture — ``repro obs`` and ``repro match`` trace compile
+  and the guarded scan.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 import repro.obs as obs
 from repro.datasets import list_builtin, load_builtin
 from repro.engine.imfant import IMfantEngine
-from repro.engine.multithread import run_pool
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 
@@ -179,68 +178,6 @@ def test_engines_emit_no_metrics_when_disabled(small_ruleset):
 # ---------------------------------------------------------------------------
 
 
-def _pool_engines(small_ruleset):
-    result = compile_ruleset(small_ruleset, CompileOptions(merging_factor=2, emit_anml=False))
-    return [IMfantEngine(m) for m in result.mfsas]
-
-
-def test_run_pool_worker_spans_nest_under_pool_span(small_ruleset):
-    engines = _pool_engines(small_ruleset)
-    data = _stream_for(small_ruleset, 1024)
-    with obs.capture() as cap:
-        run_pool([lambda e=e: e.run(data) for e in engines], num_threads=3)
-    cap.tracer.validate()
-
-    (pool_span,) = [s for s in cap.tracer.spans() if s.name == "run_pool"]
-    workers = [s for s in cap.tracer.spans() if s.name == "run_pool.worker"]
-    assert len(workers) == len(engines)
-    assert pool_span.attributes["automata"] == len(engines)
-    for worker in workers:
-        assert worker.parent_id == pool_span.span_id
-        assert worker.closed
-    # engine runs nest under their worker span (same thread, stack-nested)
-    runs = [s for s in cap.tracer.spans() if s.name == "imfant.run"]
-    worker_ids = {w.span_id for w in workers}
-    assert len(runs) == len(engines)
-    assert all(r.parent_id in worker_ids for r in runs)
-    # no span escaped the forest
-    known = {s.span_id for s in cap.tracer.spans()}
-    for span in cap.tracer.spans():
-        assert span.parent_id is None or span.parent_id in known
-
-
-def test_run_pool_span_integrity_when_worker_raises(small_ruleset):
-    """Satellite: a raising worker leaves no orphan or unclosed spans."""
-    engines = _pool_engines(small_ruleset)
-    data = _stream_for(small_ruleset, 512)
-
-    def boom():
-        raise RuntimeError("worker exploded")
-
-    runners = [lambda e=e: e.run(data) for e in engines] + [boom]
-    with obs.capture() as cap:
-        with pytest.raises(RuntimeError, match="worker exploded"):
-            run_pool(runners, num_threads=2)
-
-    cap.tracer.validate()  # nothing unclosed, everything nested
-    (pool_span,) = [s for s in cap.tracer.spans() if s.name == "run_pool"]
-    workers = [s for s in cap.tracer.spans() if s.name == "run_pool.worker"]
-    assert pool_span.status == "error"
-    assert pool_span.closed
-    assert all(w.parent_id == pool_span.span_id for w in workers)
-    failed = [w for w in workers if w.status == "error"]
-    assert len(failed) == 1
-    assert "worker exploded" in failed[0].attributes["error"]
-
-
-def test_run_pool_without_obs_still_works(small_ruleset):
-    obs.disable()
-    engines = _pool_engines(small_ruleset)
-    data = _stream_for(small_ruleset, 512)
-    matches, stats = run_pool([lambda e=e: e.run(data) for e in engines], 2)
-    assert stats.chars_processed == len(data) * len(engines)
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -266,7 +203,7 @@ def test_cli_obs_subcommand_writes_artifacts(tmp_path, capsys):
 
     doc = json.loads(trace.read_text())
     names = {e["name"] for e in doc["traceEvents"]}
-    assert {"compile", "run_pool", "imfant.run"} <= names
+    assert {"compile", "guard.run", "imfant.run"} <= names
     assert spans.read_text().strip()
     assert "imfant_active_set_size_bucket" in prom.read_text()
     # capture is scoped: globals restored
@@ -321,5 +258,5 @@ def test_cli_match_trace_flag(tmp_path):
     import json
 
     names = {e["name"] for e in json.loads(trace.read_text())["traceEvents"]}
-    assert {"compile", "run_pool", "run_pool.worker", "imfant.run"} <= names
+    assert {"compile", "guard.run", "imfant.run"} <= names
     assert "imfant_active_set_size" in prom.read_text()

@@ -16,8 +16,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import _demo_stream
 from repro.datasets import load_builtin
-from repro.engine.imfant import IMfantEngine
-from repro.engine.multithread import run_pool
+from repro.guard.degrade import GuardedMatcher
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 STREAM_BYTES = 64 * 1024
@@ -42,8 +41,7 @@ def smoke_capture():
     assert len(data) == STREAM_BYTES
     with obs.capture(stride=64) as cap:
         result = compile_ruleset(patterns, CompileOptions(merging_factor=0))
-        engines = [IMfantEngine(m) for m in result.mfsas]
-        matches, stats = run_pool([lambda e=e: e.run(data) for e in engines], 2)
+        stats = GuardedMatcher(result.mfsas, degrade=False).run(data).stats
     cap.tracer.validate()
     return cap, result, stats
 
@@ -131,11 +129,3 @@ def test_prometheus_export_contains_active_set_histogram(smoke_capture):
     # sampled distribution is consistent with the exhaustive work counter
     assert 0 <= hist.sum <= stats.active_pair_total
 
-
-@pytest.mark.obs
-def test_worker_lanes_present(smoke_capture):
-    cap, _result, _stats = smoke_capture
-    workers = [s for s in cap.tracer.spans() if s.name == "run_pool.worker"]
-    (pool,) = [s for s in cap.tracer.spans() if s.name == "run_pool"]
-    assert workers
-    assert all(w.parent_id == pool.span_id for w in workers)

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import socket as socket_module
 import struct
+import sys
 import threading
 
 import pytest
@@ -274,6 +275,48 @@ def test_in_process_pool_scans_one_job_whatever_the_plan(tmp_path, monkeypatch):
     assert result.shards == 1
     assert not result.partial
     assert result.full_matches() == oracle
+
+
+def test_concurrent_scans_share_one_engine_set(artifact):
+    """Four threads released together scan through one default pool: the
+    scans take turns on the pool's one engine set, so only the first
+    scan misses the lazy cache, and every answer is the oracle's (a
+    short switch interval makes unserialized scans interleave)."""
+    oracle = _oracle(artifact, PAYLOAD)
+    barrier = threading.Barrier(4)
+    record = threading.Lock()
+    answers: list = []
+    misses_after: list = []
+
+    with obs.capture() as cap:
+
+        def misses() -> float:
+            return cap.registry.get("imfant_lazy_cache_misses_total").value
+
+        def scan() -> None:
+            barrier.wait(timeout=10)
+            result = pool.scan(PAYLOAD)
+            with record:
+                answers.append(result.matches)
+                misses_after.append(misses())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardPool(artifact) as pool:
+                threads = [threading.Thread(target=scan) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        total = misses()
+
+    assert answers == [oracle] * 4
+    assert misses_after[0] > 0
+    assert total == misses_after[0]
 
 
 def test_process_workers_capped_at_usable_cpus(artifact):

@@ -51,12 +51,13 @@ def _jobs_from_cuts(payload_len: int, cuts: list[int], overlap: int) -> list[Sha
 
 
 def _scan_jobs(mfsa, payload: str, jobs: list[ShardJob]) -> set[tuple[int, int]]:
-    """The pool's per-job scan + stitch, minus the pool: fork, scan, rebase."""
-    template = IMfantEngine(mfsa)
+    """The pool's per-job scan + stitch, minus the pool: one engine scans
+    every job in order, then rebase."""
+    engine = IMfantEngine(mfsa)
     stitched: set = set()
     for job in jobs:
         segment = payload[job.segment_slice]
-        found = template.fork().run(segment, collect_stats=False).matches
+        found = engine.run(segment, collect_stats=False).matches
         stitched |= rebase_matches(list(found), job)
     return _complete_empty_rules(mfsa, stitched, len(payload))
 
