@@ -108,8 +108,10 @@ chaos-smoke:
 # differential oracle vs the loop-expanded pipeline, cut-point
 # invariance, register-pressure demotion drills, conformance matrix),
 # then the bound-sweep bench in smoke mode — which asserts the counting
-# compile beats expansion on modelled memory, oracle-checked, and that
-# the register step scans >= 0.35x warm lazy-on-expanded at bound 8.
+# compile beats expansion on modelled memory, oracle-checked, that the
+# register step scans >= 0.35x warm lazy-on-expanded at bound 8, and
+# that a counting compile's ME-merging stays within 3x the expanded
+# compile's on wide multi-symbol repeats.
 counting-smoke:
 	PYTHONPATH=src pytest tests/ -m counting -q
 	PYTHONPATH=src timeout 600 python benchmarks/bench_counting_backend.py --smoke

@@ -11,9 +11,10 @@ side runs as a one-rule MFSA on ``backend="counting"``.
 
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
-from repro.counting import build_counting_fsa, merge_counting_fsas
+from repro.counting import build_counting_fsa
 from repro.engine.imfant import IMfantEngine
 from repro.engine.infant import INfantEngine
+from repro.mfsa.merge import merge_fsas
 from repro.reporting.tables import format_table
 
 BOUNDS = (8, 32, 128)
@@ -21,7 +22,7 @@ STREAM = ("ab" * 300 + "c" + "ba" * 100) * 2
 
 
 def _counting_engine(cfsa) -> IMfantEngine:
-    return IMfantEngine(merge_counting_fsas([(0, cfsa)]), backend="counting")
+    return IMfantEngine(merge_fsas([(0, cfsa)]), backend="counting")
 
 
 def _sweep():

@@ -9,12 +9,9 @@ compares size and work, with matches asserted identical.  Both counting
 forms run on ``backend="counting"``.
 """
 
-from repro.counting import (
-    CountingMergeReport,
-    build_counting_fsa,
-    merge_counting_fsas,
-)
+from repro.counting import build_counting_fsa
 from repro.engine.imfant import IMfantEngine
+from repro.mfsa.merge import MergeReport, merge_fsas
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 from repro.reporting.tables import format_table
 
@@ -39,8 +36,8 @@ STREAM = (
 def _build():
     expanded = compile_ruleset(RULES, CompileOptions(merging_factor=0, emit_anml=False))
     per_rule = [(i, build_counting_fsa(p)) for i, p in enumerate(RULES)]
-    report = CountingMergeReport()
-    merged_counting = merge_counting_fsas(per_rule, report=report)
+    report = MergeReport()
+    merged_counting = merge_fsas(per_rule, report=report)
     return expanded, per_rule, merged_counting, report
 
 
@@ -53,7 +50,7 @@ def test_counting_mfsa_ablation(benchmark):
     separate = set()
     separate_work = 0
     for rule_id, cfsa in per_rule:
-        one_rule = merge_counting_fsas([(rule_id, cfsa)])
+        one_rule = merge_fsas([(rule_id, cfsa)])
         run = IMfantEngine(one_rule, backend="counting").run(STREAM)
         separate |= run.matches
         separate_work += run.stats.transitions_examined
@@ -80,7 +77,7 @@ def test_counting_mfsa_ablation(benchmark):
     ))
     shared = [a for a in merged_counting.counting if len(a.bel) > 1]
     print(f"shared counters: {len(shared)} of {len(merged_counting.counting)} "
-          f"({report.merged_counting} counting arcs merged)")
+          f"({report.merged_transitions} arcs merged)")
 
     # the counting representations dodge the expansion blow-up
     assert merged_counting.num_states < expanded.mfsas[0].num_states / 2

@@ -32,7 +32,9 @@ Entry points
     Two small bounds, min of 3 — the CI wiring (``make
     counting-smoke``) runs this to keep the sweep honest without the
     full cost, and asserts the :data:`SMOKE_SCAN_FLOOR` on the register
-    step at bound 8.
+    step at bound 8.  It also compiles :data:`MERGE_GATE_RULES` both
+    ways and asserts the :data:`SMOKE_MERGE_CEILING` on the counting
+    compile's merging stage.
 
 ``pytest benchmarks/bench_counting_backend.py --benchmark-only``
     pytest-benchmark timings for the scan loop at a single bound.
@@ -61,6 +63,14 @@ SMOKE_BOUNDS = (8, 64)
 SMOKE_SCAN_FLOOR = 0.35
 DECOY_RULE = "abc[0-9]{2,6}z"
 COUNT_THRESHOLD = 8
+#: Wide repeats of multi-symbol bodies beside counted ones: the counting
+#: compile must expand the former exactly as the plain pipeline does
+MERGE_GATE_RULES = ["x[ab]{63,}[01]", "x(xy){70,}[01]", "(xy){0,70}", "ab[^x]{0,12}ba"]
+MERGE_GATE_THRESHOLD = 2
+#: ``--smoke`` ceiling on the counting compile's ``ME-merging`` stage
+#: over :data:`MERGE_GATE_RULES`, as a multiple of the expanded
+#: compile's (min of 3 each, so host speed cancels)
+SMOKE_MERGE_CEILING = 3.0
 
 
 def _patterns(bound: int) -> list:
@@ -110,6 +120,21 @@ def _best_scan_seconds(mfsas, backend, payload, repeats: int) -> tuple:
             matches |= engine.run(payload, collect_stats=False).matches
         best = min(best, time.perf_counter() - start)
     return best, matches
+
+
+def merge_ratio(repeats: int = 3) -> float:
+    """Counting over expanded ``ME-merging`` seconds on
+    :data:`MERGE_GATE_RULES`, min of ``repeats`` compiles each."""
+    def best(options) -> float:
+        return min(
+            compile_ruleset(MERGE_GATE_RULES, options).stage_times.merging
+            for _ in range(repeats)
+        )
+
+    counting = best(CompileOptions(
+        emit_anml=False, counting=True, count_threshold=MERGE_GATE_THRESHOLD
+    ))
+    return counting / best(CompileOptions(emit_anml=False))
 
 
 def run_sweep(bounds=BOUNDS, repeats: int = 3) -> dict:
@@ -203,14 +228,22 @@ def main(argv) -> int:
             f"bound {first['bound']}: counting scans at {scan_ratio:.2f}x "
             f"lazy-on-expanded, below the {SMOKE_SCAN_FLOOR}x floor"
         )
+        merging = merge_ratio()
+        assert merging <= SMOKE_MERGE_CEILING, (
+            f"counting ME-merging takes {merging:.1f}x the expanded "
+            f"compile's on {MERGE_GATE_RULES}, above the "
+            f"{SMOKE_MERGE_CEILING}x ceiling"
+        )
         print(
             "counting bench smoke ok: memory ratio %.2fx, compile speedup %.2fx "
-            "at bound %d; scan %.2fx lazy-on-expanded at bound %d" % (
+            "at bound %d; scan %.2fx lazy-on-expanded at bound %d; "
+            "ME-merging %.2fx expanded" % (
                 summary["modelled_memory_ratio"],
                 summary["compile_speedup"],
                 summary["max_bound"],
                 scan_ratio,
                 first["bound"],
+                merging,
             )
         )
         return 0

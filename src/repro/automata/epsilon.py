@@ -49,15 +49,11 @@ def remove_epsilon(fsa: Fsa, *, meter=None, rule=None) -> Fsa:
     if not fsa.has_epsilon():
         return fsa.trimmed()
 
-    eps_adj: dict[int, list[int]] = {}
     labelled_out: dict[int, list[Transition]] = {}
-    for t in fsa.transitions:
-        if t.is_epsilon():
-            eps_adj.setdefault(t.src, []).append(t.dst)
-        else:
-            labelled_out.setdefault(t.src, []).append(t)
+    for t in fsa.labelled_transitions():
+        labelled_out.setdefault(t.src, []).append(t)
 
-    closures = _all_closures(fsa.num_states, eps_adj)
+    closures = epsilon_closures(fsa)
 
     emitted = 0
     out = Fsa(num_states=fsa.num_states, initial=fsa.initial, pattern=fsa.pattern)
@@ -80,18 +76,18 @@ def remove_epsilon(fsa: Fsa, *, meter=None, rule=None) -> Fsa:
     return out.trimmed()
 
 
-def _all_closures(num_states: int, eps_adj: dict[int, list[int]]) -> list[set[int]]:
-    """Closure of every state, memoised over the ε-graph's SCC-free DAG.
+def epsilon_closures(fsa: Fsa) -> list[set[int]]:
+    """The ε-closure of every state, indexed by state.
 
-    Thompson output can contain ε-cycles (from ``(x*)*`` style nesting), so
-    a plain DFS with memoisation on the cycle-free part plus an iterative
-    fallback is used.
+    Thompson output can contain ε-cycles (from ``(x*)*`` style nesting),
+    so each closure is an iterative DFS with a visited set.  The counting
+    builder's mixed ε-removal (:mod:`repro.counting.build`) reuses it.
     """
-    closures: list[set[int]] = [set() for _ in range(num_states)]
-    for start in range(num_states):
-        if closures[start]:
-            continue
-        # Iterative DFS from `start`; fill closure for all states on the way.
+    eps_adj: dict[int, list[int]] = {}
+    for t in fsa.epsilon_transitions():
+        eps_adj.setdefault(t.src, []).append(t.dst)
+    closures: list[set[int]] = []
+    for start in range(fsa.num_states):
         closure = {start}
         stack = [start]
         while stack:
@@ -100,5 +96,5 @@ def _all_closures(num_states: int, eps_adj: dict[int, list[int]]) -> list[set[in
                 if nxt not in closure:
                     closure.add(nxt)
                     stack.append(nxt)
-        closures[start] = closure
+        closures.append(closure)
     return closures

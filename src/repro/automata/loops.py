@@ -17,12 +17,17 @@ is supplied the cap flows from the budget instead of the module default
 and enforcement is strict: the offending pattern is *not* silently kept
 compressed — a :class:`~repro.guard.errors.LoopBudgetExceeded` naming
 the rule and the exact repeat sub-expression is raised.
+
+A counting compile passes ``keep``, the predicate that picks the repeats
+it counts (:func:`repro.counting.build.counted_repeats`): those stay
+compressed, free of the budget, for the builder to turn into counting
+arcs; every other repeat expands as usual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.frontend.ast import (
     AstNode,
@@ -53,13 +58,15 @@ def expand_loops(
     *,
     meter=None,
     rule: Optional[int] = None,
+    keep: Optional[Callable[[Repeat], bool]] = None,
 ) -> AstNode:
     """Rewrite finite repetitions into concatenations (see module doc).
 
     ``meter`` is an optional :class:`~repro.guard.budget.BudgetMeter`;
     when it carries ``max_loop_copies`` that cap replaces ``budget`` and
     over-budget repeats raise instead of staying compressed, with the
-    error naming ``rule`` and the offending repeat.
+    error naming ``rule`` and the offending repeat.  Repeats for which
+    ``keep`` holds are left as they are.
     """
     stats = report if report is not None else LoopExpansionReport()
     strict = meter is not None and meter.budget.max_loop_copies is not None
@@ -78,7 +85,7 @@ def expand_loops(
         return True
 
     def rewrite(n: AstNode) -> AstNode:
-        if not isinstance(n, Repeat):
+        if not isinstance(n, Repeat) or (keep is not None and keep(n)):
             return n
         low, high = n.low, n.high
         if (low, high) in ((0, None), (1, None)):

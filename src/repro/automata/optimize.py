@@ -40,12 +40,14 @@ def optimize_ast(
     *,
     meter=None,
     rule=None,
+    keep=None,
 ) -> AstNode:
     """AST-level passes: case folding, then loop expansion.
 
     ``meter``/``rule`` (an optional :class:`~repro.guard.budget.BudgetMeter`
     and the rule id being compiled) flow into loop expansion so strict
-    loop budgets name their offender."""
+    loop budgets name their offender; so does ``keep``, the predicate of
+    the repeats a counting compile leaves compressed."""
     options = options or OptimizeOptions()
     if options.case_insensitive:
         from repro.frontend.casefold import fold_case
@@ -58,6 +60,7 @@ def optimize_ast(
             report=LoopExpansionReport(),
             meter=meter,
             rule=rule,
+            keep=keep,
         )
     return node
 

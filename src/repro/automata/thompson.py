@@ -25,8 +25,11 @@ from repro.frontend.ast import (
 from repro.automata.fsa import EPSILON, Fsa
 
 
-class _Builder:
-    """Accumulates states/arcs; fragment = (entry, exit) state pair."""
+class ThompsonBuilder:
+    """Accumulates states/arcs; fragment = (entry, exit) state pair.
+
+    :mod:`repro.counting.build` extends it: a counted repeat there
+    becomes one counting arc, every other node builds here."""
 
     def __init__(self) -> None:
         self.fsa = Fsa()
@@ -97,15 +100,22 @@ class _Builder:
             star_entry, star_exit = self._star(node.body)
             self.arc(exit_, star_entry, EPSILON)
             return entry, star_exit
-        # x{m,n} == x^m (x (x (...)?)?)? with n-m optional layers
+        # x{m,n} == x^m (x (x (...)?)?)? with n-m optional layers: each
+        # layer starts with an ε-arc to the common end, so ε-closures stay
+        # linear in n (a flat chain of x? layers makes them quadratic)
         if low == 0 and high == 0:
             return self._empty()
         entry, exit_ = (self._required_copies(node.body, low) if low else self._empty())
+        if high == low:
+            return entry, exit_
+        end = self.state()
         for _ in range(high - low):
-            opt_entry, opt_exit = self._optional(node.body)
-            self.arc(exit_, opt_entry, EPSILON)
-            exit_ = opt_exit
-        return entry, exit_
+            b_entry, b_exit = self.build(node.body)
+            self.arc(exit_, end, EPSILON)
+            self.arc(exit_, b_entry, EPSILON)
+            exit_ = b_exit
+        self.arc(exit_, end, EPSILON)
+        return entry, end
 
     def _required_copies(self, body: AstNode, count: int) -> tuple[int, int]:
         entry, exit_ = self.build(body)
@@ -147,7 +157,7 @@ def thompson_construct(node: AstNode, pattern: str | None = None) -> Fsa:
     freely; run :func:`repro.automata.epsilon.remove_epsilon` to obtain the
     ε-free automaton the merger and engines require.
     """
-    builder = _Builder()
+    builder = ThompsonBuilder()
     entry, exit_ = builder.build(node)
     fsa = builder.fsa
     fsa.initial = entry

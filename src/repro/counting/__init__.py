@@ -8,21 +8,24 @@ paper cites ([12], Turoňová et al.'s counting-set automata) keeps such
 loops *compressed* with a counter and matches them in O(1) amortised
 work per byte.
 
-This package implements the compile side of that comparator for the
-common DPI shape — bounded repeats of a single character class:
+A counting compile is the plain compile plus one kind of arc: a repeat
+of one character class whose bound reaches the threshold becomes a
+*counting arc*.  Loop expansion, Thompson construction and Algorithm 1
+(:mod:`repro.mfsa.merge`, which compares arcs by a merge key) are the
+plain pipeline's; this package keeps only what is specific to counting:
 
-* :mod:`repro.counting.model` — NFA extended with counting transitions;
-* :mod:`repro.counting.build` — Thompson-like construction that keeps
-  width-1 bounded repeats as counting loops (everything else builds as
-  usual) plus the mixed-arc ε-removal;
-* :mod:`repro.counting.merge` / :mod:`repro.counting.mfsa` — Algorithm 1
-  over mixed plain/counting arcs, producing a :class:`CountingMfsa`.
+* :mod:`repro.counting.model` — the counting arc and the ε-free NFA
+  that carries it;
+* :mod:`repro.counting.build` — the counted-repeat predicate, the
+  counting arc (with its ε bypass for ``{0,n}``) built inside Thompson's
+  builder, the mixed-arc ε-removal and the trim;
+* :mod:`repro.counting.mfsa` — the merged :class:`CountingMfsa`.
 
 Execution lives in one place: ``IMfantEngine(cmfsa, backend="counting")``
 runs the counting arcs as counter registers (:mod:`repro.engine.counting`).
 A single rule is a one-rule MFSA —
-``merge_counting_fsas([(rule_id, build_counting_fsa(pattern))])`` — and
-a mixed ruleset compiles through ``compile_ruleset(patterns,
+``merge_fsas([(rule_id, build_counting_fsa(pattern))])`` — and a mixed
+ruleset compiles through ``compile_ruleset(patterns,
 CompileOptions(counting=True, count_threshold=N))``.
 
 The counting ablation bench quantifies the trade-off against the
@@ -34,7 +37,6 @@ from repro.counting.build import (
     build_counting_fsa,
     build_counting_fsa_from_ast,
 )
-from repro.counting.merge import CountingMergeReport, merge_counting_fsas
 from repro.counting.mfsa import CMTransition, CountingMfsa
 from repro.counting.model import CountingFsa, CountingTransition
 
@@ -46,6 +48,4 @@ __all__ = [
     "DEFAULT_MIN_COUNT_BOUND",
     "CMTransition",
     "CountingMfsa",
-    "CountingMergeReport",
-    "merge_counting_fsas",
 ]

@@ -1,141 +1,67 @@
 """Construction of counting NFAs from regex ASTs.
 
-A Thompson-like builder in which a bounded repeat whose body is a single
-character class — ``L{m,n}`` with m ≥ 1 — becomes one *counting arc*
-instead of an expanded chain; every other construct builds exactly as in
-:mod:`repro.automata.thompson` (ε-arcs and all).  A final mixed-arc
-ε-removal produces the ε-free :class:`repro.counting.model.CountingFsa`.
-
-``min_count_bound`` controls when counting kicks in: tiny bounds expand
-(a 2-state chain beats counter bookkeeping), large bounds count.  Width-1
-optional repeats ``L{0,n}`` become a counting arc (with low=1) plus a
-plain ε bypass, so the full quantifier family is covered.
+The plain pipeline's construction with one more kind of arc.  A repeat
+of one character class whose bound reaches the threshold — the one
+predicate :func:`counted_repeats` decides it — becomes a single
+*counting arc* ``src ==[L]{low,high}==> dst``; an optional ``L{0,n}``
+becomes a counting arc with ``low=1`` plus an ε bypass.  Everything else
+is the plain pipeline's code: loop expansion
+(:func:`repro.automata.loops.expand_loops`, which leaves the counted
+repeats compressed) and Thompson construction
+(:mod:`repro.automata.thompson`, whose builder this module extends for
+counted repeats only).  A mixed-arc ε-removal over
+:func:`repro.automata.epsilon.epsilon_closures`, trimmed to the reachable
+states, produces the ε-free :class:`repro.counting.model.CountingFsa`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Callable
 
+from repro.automata.epsilon import epsilon_closures
+from repro.automata.fsa import EPSILON, Fsa, Transition
+from repro.automata.loops import expand_loops
+from repro.automata.thompson import ThompsonBuilder
 from repro.counting.model import CountingFsa, CountingTransition
-from repro.frontend.ast import Alternation, AstNode, Concat, Empty, Literal, Repeat
+from repro.frontend.ast import AstNode, Literal, Repeat
 from repro.frontend.parser import parse
-from repro.labels import CharClass
 
 #: Bounded repeats with high < this many copies expand instead of count.
 DEFAULT_MIN_COUNT_BOUND = 4
 
 
-@dataclass
-class _Arc:
-    src: int
-    dst: int
-    label: CharClass | None  # None = ε
-    counting: tuple[int, int | None] | None = None  # (low, high) when counting
+def counted_repeats(threshold: int) -> Callable[[Repeat], bool]:
+    """The predicate of the repeats that become counting arcs: a repeat
+    of one character class whose upper bound — for an unbounded repeat,
+    its lower bound — is at least ``threshold``.  Loop expansion keeps
+    these compressed and the builder counts them."""
+
+    def counted(node: Repeat) -> bool:
+        bound = node.low if node.high is None else node.high
+        return isinstance(node.body, Literal) and bound >= threshold
+
+    return counted
 
 
-@dataclass
-class _Builder:
-    num_states: int = 0
-    arcs: list[_Arc] = field(default_factory=list)
-    min_count_bound: int = DEFAULT_MIN_COUNT_BOUND
+class _CountingBuilder(ThompsonBuilder):
+    """Thompson's builder; a counted repeat becomes a counting arc, kept
+    on a side list until the ε-removal."""
 
-    def state(self) -> int:
-        self.num_states += 1
-        return self.num_states - 1
-
-    def eps(self, src: int, dst: int) -> None:
-        self.arcs.append(_Arc(src, dst, None))
-
-    def build(self, node: AstNode) -> tuple[int, int]:
-        if isinstance(node, Empty):
-            entry, exit_ = self.state(), self.state()
-            self.eps(entry, exit_)
-            return entry, exit_
-        if isinstance(node, Literal):
-            entry, exit_ = self.state(), self.state()
-            self.arcs.append(_Arc(entry, exit_, node.charclass))
-            return entry, exit_
-        if isinstance(node, Concat):
-            entry, exit_ = self.build(node.parts[0])
-            for part in node.parts[1:]:
-                nxt_entry, nxt_exit = self.build(part)
-                self.eps(exit_, nxt_entry)
-                exit_ = nxt_exit
-            return entry, exit_
-        if isinstance(node, Alternation):
-            entry, exit_ = self.state(), self.state()
-            for branch in node.branches:
-                b_entry, b_exit = self.build(branch)
-                self.eps(entry, b_entry)
-                self.eps(b_exit, exit_)
-            return entry, exit_
-        if isinstance(node, Repeat):
-            return self._repeat(node)
-        raise TypeError(f"unknown AST node: {node!r}")
-
-    # -- repeats -----------------------------------------------------------
+    def __init__(self, counted: Callable[[Repeat], bool]) -> None:
+        super().__init__()
+        self.counted = counted
+        self.counting: list[CountingTransition] = []
 
     def _repeat(self, node: Repeat) -> tuple[int, int]:
-        low, high = node.low, node.high
-        if self._countable(node):
-            return self._counting_arc(node.body.charclass, low, high)  # type: ignore[union-attr]
-        if (low, high) == (0, None):
-            return self._star(node.body)
-        if (low, high) == (1, None):
-            return self._plus(node.body)
-        if high is None:
-            entry, exit_ = self._chain(node.body, low)
-            star_entry, star_exit = self._star(node.body)
-            self.eps(exit_, star_entry)
-            return entry, star_exit
-        if high == 0:
-            return self.build(Empty())
-        entry, exit_ = (self._chain(node.body, low) if low else self.build(Empty()))
-        for _ in range(high - low):
-            opt_entry, opt_exit = self.build(node.body)
-            self.eps(opt_entry, opt_exit)
-            self.eps(exit_, opt_entry)
-            exit_ = opt_exit
-        return entry, exit_
-
-    def _countable(self, node: Repeat) -> bool:
-        if not isinstance(node.body, Literal):
-            return False
-        if node.high is None:
-            return node.low >= self.min_count_bound
-        return node.high >= self.min_count_bound
-
-    def _counting_arc(self, label: CharClass, low: int, high: int | None) -> tuple[int, int]:
+        if not self.counted(node):
+            return super()._repeat(node)
         entry, exit_ = self.state(), self.state()
-        effective_low = max(1, low)
-        self.arcs.append(_Arc(entry, exit_, label, counting=(effective_low, high)))
-        if low == 0:
-            self.eps(entry, exit_)
-        return entry, exit_
-
-    def _chain(self, body: AstNode, count: int) -> tuple[int, int]:
-        entry, exit_ = self.build(body)
-        for _ in range(count - 1):
-            nxt_entry, nxt_exit = self.build(body)
-            self.eps(exit_, nxt_entry)
-            exit_ = nxt_exit
-        return entry, exit_
-
-    def _star(self, body: AstNode) -> tuple[int, int]:
-        entry, exit_ = self.state(), self.state()
-        b_entry, b_exit = self.build(body)
-        self.eps(entry, b_entry)
-        self.eps(b_exit, exit_)
-        self.eps(entry, exit_)
-        self.eps(b_exit, b_entry)
-        return entry, exit_
-
-    def _plus(self, body: AstNode) -> tuple[int, int]:
-        entry, exit_ = self.state(), self.state()
-        b_entry, b_exit = self.build(body)
-        self.eps(entry, b_entry)
-        self.eps(b_exit, exit_)
-        self.eps(b_exit, b_entry)
+        label = node.body.charclass  # type: ignore[attr-defined]
+        self.counting.append(
+            CountingTransition(entry, exit_, label, max(1, node.low), node.high)
+        )
+        if node.low == 0:  # the counter counts from 1; ε takes zero
+            self.arc(entry, exit_, EPSILON)
         return entry, exit_
 
 
@@ -143,8 +69,10 @@ def build_counting_fsa(
     pattern: str,
     min_count_bound: int = DEFAULT_MIN_COUNT_BOUND,
 ) -> CountingFsa:
-    """Compile a pattern into an ε-free counting NFA."""
-    return build_counting_fsa_from_ast(parse(pattern), pattern, min_count_bound)
+    """Compile a pattern into an ε-free counting NFA: loop expansion of
+    the repeats that do not count, then the construction."""
+    ast = expand_loops(parse(pattern), keep=counted_repeats(min_count_bound))
+    return build_counting_fsa_from_ast(ast, pattern, min_count_bound)
 
 
 def build_counting_fsa_from_ast(
@@ -152,94 +80,51 @@ def build_counting_fsa_from_ast(
     pattern: str,
     min_count_bound: int = DEFAULT_MIN_COUNT_BOUND,
 ) -> CountingFsa:
-    """Compile an already-parsed (and possibly optimized) AST.
-
-    The pipeline's counting compile path parses and case-folds through
-    the ordinary frontend (with loop expansion disabled, so repeats
-    survive to this builder) and hands the AST here."""
-    builder = _Builder(min_count_bound=min_count_bound)
+    """Build an already-parsed (and loop-expanded) AST.  Bounded repeats
+    that neither count nor were expanded build as Thompson's linear
+    chain of optional layers."""
+    builder = _CountingBuilder(counted_repeats(min_count_bound))
     entry, exit_ = builder.build(ast)
-    return _remove_epsilon(builder, entry, exit_, pattern)
+    return _remove_epsilon(builder.fsa, builder.counting, entry, exit_, pattern)
 
 
-def _remove_epsilon(builder: _Builder, initial: int, final: int, pattern: str) -> CountingFsa:
-    """Closure-based ε-removal over mixed plain/counting arcs."""
-    eps_adj: dict[int, list[int]] = {}
-    out_arcs: dict[int, list[_Arc]] = {}
-    for arc in builder.arcs:
-        if arc.label is None:
-            eps_adj.setdefault(arc.src, []).append(arc.dst)
-        else:
-            out_arcs.setdefault(arc.src, []).append(arc)
+def _remove_epsilon(
+    nfa: Fsa,
+    counting: list[CountingTransition],
+    initial: int,
+    final: int,
+    pattern: str,
+) -> CountingFsa:
+    """The closure construction of :mod:`repro.automata.epsilon` over
+    the plain and the counting arcs together, kept to the states the
+    initial state reaches (the trim) and numbered densely in state
+    order.  Each arc the builder makes enters a state of its own, so no
+    arc comes out twice."""
+    out_arcs: dict[int, list] = {}
+    for arc in [*nfa.labelled_transitions(), *counting]:
+        out_arcs.setdefault(arc.src, []).append(arc)
+    closures = epsilon_closures(nfa)
+    reached = {initial}
+    stack = [initial]
+    while stack:
+        for p in closures[stack.pop()]:
+            for arc in out_arcs.get(p, ()):
+                if arc.dst not in reached:
+                    reached.add(arc.dst)
+                    stack.append(arc.dst)
+    rename = {old: new for new, old in enumerate(sorted(reached))}
 
-    def closure(state: int) -> set[int]:
-        seen = {state}
-        stack = [state]
-        while stack:
-            current = stack.pop()
-            for nxt in eps_adj.get(current, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    closures = [closure(q) for q in range(builder.num_states)]
-
-    fsa = CountingFsa(num_states=builder.num_states, initial=initial, pattern=pattern)
-    seen_plain: set[tuple[int, int, int]] = set()
-    seen_counting: set[tuple[int, int, int, int, int | None]] = set()
-    for q in range(builder.num_states):
+    fsa = CountingFsa(num_states=len(rename), initial=rename[initial], pattern=pattern)
+    for q, src in rename.items():
         for p in closures[q]:
             for arc in out_arcs.get(p, ()):
-                assert arc.label is not None
-                if arc.counting is None:
-                    key = (q, arc.dst, arc.label.mask)
-                    if key not in seen_plain:
-                        seen_plain.add(key)
-                        fsa.plain.append((q, arc.dst, arc.label))
+                dst = rename[arc.dst]
+                if isinstance(arc, CountingTransition):
+                    fsa.counting.append(
+                        CountingTransition(src, dst, arc.label, arc.low, arc.high)
+                    )
                 else:
-                    low, high = arc.counting
-                    ckey = (q, arc.dst, arc.label.mask, low, high)
-                    if ckey not in seen_counting:
-                        seen_counting.add(ckey)
-                        fsa.counting.append(
-                            CountingTransition(q, arc.dst, arc.label, low, high)
-                        )
+                    fsa.plain.append(Transition(src, dst, arc.label))
         if final in closures[q]:
-            fsa.finals.add(q)
-
-    return _trim(fsa)
-
-
-def _trim(fsa: CountingFsa) -> CountingFsa:
-    """Drop states unreachable from the initial state, renumber densely."""
-    adjacency: dict[int, list[int]] = {}
-    for src, dst, _ in fsa.plain:
-        adjacency.setdefault(src, []).append(dst)
-    for arc in fsa.counting:
-        adjacency.setdefault(arc.src, []).append(arc.dst)
-    seen = {fsa.initial}
-    stack = [fsa.initial]
-    while stack:
-        state = stack.pop()
-        for nxt in adjacency.get(state, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    order = sorted(seen)
-    rename = {old: new for new, old in enumerate(order)}
-
-    out = CountingFsa(num_states=len(order), initial=rename[fsa.initial], pattern=fsa.pattern)
-    out.finals = {rename[f] for f in fsa.finals if f in seen}
-    out.plain = [
-        (rename[src], rename[dst], label)
-        for src, dst, label in fsa.plain
-        if src in seen and dst in seen
-    ]
-    out.counting = [
-        CountingTransition(rename[a.src], rename[a.dst], a.label, a.low, a.high)
-        for a in fsa.counting
-        if a.src in seen and a.dst in seen
-    ]
-    out.validate()
-    return out
+            fsa.finals.add(src)
+    return fsa

@@ -6,7 +6,14 @@ work [12]) — into one model: a merged automaton whose transitions are
 either plain belonging-annotated arcs (as in :class:`repro.mfsa.model.Mfsa`)
 or *counting* arcs ``src ==[L]{low,high}==> dst`` that also carry a
 belonging set.  Two counting arcs merge only when label *and* bounds are
-identical, the natural extension of the paper's exact-CC rule.
+identical, the natural extension of the paper's exact-CC rule;
+:func:`repro.mfsa.merge.merge_fsas` merges both kinds of arc.
+
+The type stays apart from :class:`~repro.mfsa.model.Mfsa` on purpose:
+its plain arcs are called ``plain``, not ``transitions``, so consumers
+that only know plain arcs (``reference_match``, ``MfsaTables.build``,
+``SfaScanner``, ``DenseTier``, ``write_anml``) cannot take it for an
+``Mfsa`` and drop its counters silently.
 
 Rulesets like Ranges1 are full of shared counted runs
 (``[0-9]{1,3}\\.`` …), so sharing the counter pays exactly like sharing
@@ -32,10 +39,6 @@ class CMTransition:
     low: int
     high: Optional[int]
     bel: frozenset[int]
-
-    def key(self) -> tuple:
-        """Merge key: counting arcs merge on identical (label, bounds)."""
-        return ("#count", self.label.mask, self.low, self.high)
 
     def __repr__(self) -> str:
         bound = f"{{{self.low},{'' if self.high is None else self.high}}}"

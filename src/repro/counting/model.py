@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.automata.fsa import Transition
 from repro.labels import CharClass
 
 
@@ -43,22 +44,19 @@ class CountingTransition:
 class CountingFsa:
     """An ε-free NFA with plain and counting transitions.
 
-    ``plain`` transitions are ``(src, dst, CharClass)`` tuples (the same
-    shape as :class:`repro.automata.fsa.Transition` without ε); states
-    are dense ints, one initial state, a set of finals.
+    ``plain`` holds :class:`repro.automata.fsa.Transition` arcs (never
+    ε); states are dense ints, one initial state, a set of finals.
+    The plain arcs are not called ``transitions``, so code written for
+    :class:`~repro.automata.fsa.Fsa` cannot take this automaton for a
+    plain one and drop its counting arcs.
     """
 
     num_states: int = 0
     initial: int = 0
     finals: set[int] = field(default_factory=set)
-    plain: list[tuple[int, int, CharClass]] = field(default_factory=list)
+    plain: list[Transition] = field(default_factory=list)
     counting: list[CountingTransition] = field(default_factory=list)
     pattern: Optional[str] = None
-
-    def add_state(self) -> int:
-        state = self.num_states
-        self.num_states += 1
-        return state
 
     @property
     def num_transitions(self) -> int:
@@ -72,17 +70,14 @@ class CountingFsa:
         check(self.initial)
         for state in self.finals:
             check(state)
-        for src, dst, label in self.plain:
-            check(src)
-            check(dst)
-            if label.is_empty():
+        for t in self.plain:
+            check(t.src)
+            check(t.dst)
+            if t.label is None or t.label.is_empty():
                 raise ValueError("empty plain-transition label")
         for arc in self.counting:
             check(arc.src)
             check(arc.dst)
-
-    def accepts_empty(self) -> bool:
-        return self.initial in self.finals
 
     def __repr__(self) -> str:
         return (

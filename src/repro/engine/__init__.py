@@ -13,8 +13,9 @@
   tables, self-loop run skipping by vectorized block search, and
   mid-buffer de-opt back to lazy interpretation.
 * :mod:`repro.engine.counting` — counter registers behind
-  ``backend="counting"``: bounded ``{m,n}`` repeats as O(1)-per-byte
-  sliding-window counters instead of expanded state chains.
+  ``backend="counting"``: bounded ``{m,n}`` repeats as fields of one
+  packed register word, stepped by shift/mask word operations per byte,
+  instead of expanded state chains.
 * :mod:`repro.engine.counters` — execution statistics (work counters).
 * :mod:`repro.engine.cost` — the work-based timing model used by the
   thread-scaling experiments.

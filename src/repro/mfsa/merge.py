@@ -27,11 +27,19 @@ The three outcomes of the paper's §III-A fall out naturally: no common
 sub-paths → the FSA is copied disjointly; some common sub-paths → shared
 arcs get the new identifier; identical FSA → every arc's belonging is
 extended and no state is added.
+
+Counting automata (:class:`~repro.counting.model.CountingFsa`) merge
+through the same code into a :class:`~repro.counting.mfsa.CountingMfsa`.
+Arcs are compared by a *merge key*: a plain arc's key is its label mask,
+a counting arc's is ``(mask, low, high)``, so counters merge only when
+class and bounds both coincide — the exact-set rule extended to
+counters.  Each kind of arc is folded into its own list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import repro.obs as obs
@@ -119,7 +127,9 @@ def merge_fsas(
 ) -> Mfsa | tuple[Mfsa, list[MergingStructure]]:
     """Merge ``(rule_id, fsa)`` pairs into one MFSA (Algorithm 1).
 
-    FSAs must be ε-free; rule ids must be distinct.  When
+    FSAs must be ε-free; rule ids must be distinct.  Counting FSAs
+    (:class:`~repro.counting.model.CountingFsa`) merge into a
+    :class:`~repro.counting.mfsa.CountingMfsa`.  When
     ``collect_structures`` is true the merging structures of the *last*
     incoming FSA are returned too (used by tests mirroring Fig. 2).
     ``meter`` is an optional :class:`~repro.guard.budget.BudgetMeter`:
@@ -143,8 +153,10 @@ def merge_fsas(
     seen_rules = [rule for rule, _ in items]
     if len(set(seen_rules)) != len(seen_rules):
         raise UsageError("duplicate rule ids in merge input")
+    if len({isinstance(fsa, Fsa) for _, fsa in items}) > 1:
+        raise UsageError("cannot merge plain and counting FSAs together")
     for _, fsa in items:
-        if fsa.has_epsilon():
+        if isinstance(fsa, Fsa) and fsa.has_epsilon():
             raise UsageError("merge requires ε-free FSAs (run the optimiser first)")
 
     stats = report if report is not None else MergeReport()
@@ -153,7 +165,7 @@ def merge_fsas(
 
     with obs.span("merge.group", rules=len(items)) as group_span:
         first_rule, first_fsa = items[0]
-        mfsa = from_single_fsa(first_rule, first_fsa)
+        mfsa = _seed(first_rule, first_fsa)
         if meter is not None:
             meter.charge_automaton(
                 mfsa.num_states, mfsa.num_transitions, stage="merging", rule=first_rule
@@ -220,7 +232,6 @@ def merge_groups(
         group_report = MergeReport()
         merged = merge_fsas([items[i] for i in group], report=group_report,
                             seed_cap=seed_cap, min_walk_len=min_walk_len, meter=meter)
-        assert isinstance(merged, Mfsa)
         _accumulate(stats, group_report)
         out.append(merged)
     return out
@@ -244,6 +255,49 @@ def _accumulate(total: MergeReport, part: MergeReport) -> None:
 
 _STRATEGIES = ("longest-first", "discovery-order")
 
+#: Merge keys (see the module docstring): a plain arc's label mask, a
+#: counting arc's ``(mask, low, high)``.
+_PLAIN_KEY = attrgetter("label.mask")
+_COUNTING_KEY = attrgetter("label.mask", "low", "high")
+
+
+def _plain_arc(arc, src: int, dst: int, bel: frozenset) -> MTransition:
+    return MTransition(src, dst, arc.label, bel)
+
+
+def _arc_kinds(mfsa, fsa) -> list[tuple]:
+    """``(z arcs, z keys, incoming arcs, incoming keys, arc maker)`` for
+    each kind of arc: plain arcs, then — merging counting automata —
+    counting arcs.  The keys are computed here, once per merge step,
+    never per comparison; the arc maker builds a z arc of that kind."""
+    if isinstance(mfsa, Mfsa):
+        kinds = [(mfsa.transitions, list(fsa.labelled_transitions()), _PLAIN_KEY, _plain_arc)]
+    else:
+        from repro.counting.mfsa import CMTransition  # repro.counting imports repro.mfsa
+
+        def counting_arc(arc, src: int, dst: int, bel: frozenset) -> CMTransition:
+            return CMTransition(src, dst, arc.label, arc.low, arc.high, bel)
+
+        kinds = [
+            (mfsa.plain, fsa.plain, _PLAIN_KEY, _plain_arc),
+            (mfsa.counting, fsa.counting, _COUNTING_KEY, counting_arc),
+        ]
+    return [
+        (z_arcs, list(map(key, z_arcs)), a_arcs, list(map(key, a_arcs)), make)
+        for z_arcs, a_arcs, key, make in kinds
+    ]
+
+
+def _seed(rule: int, fsa):
+    """Algorithm 1's ``generateNew(z, A[1])``: the first FSA, as it is."""
+    if isinstance(fsa, Fsa):
+        return from_single_fsa(rule, fsa)
+    from repro.counting.mfsa import CountingMfsa  # repro.counting imports repro.mfsa
+
+    mfsa = CountingMfsa()
+    _relabel_and_merge(mfsa, rule, fsa, {}, MergeReport(), _arc_kinds(mfsa, fsa))
+    return mfsa
+
 
 def _merge_one(
     mfsa: Mfsa,
@@ -259,12 +313,13 @@ def _merge_one(
     states_before = mfsa.num_states
     transitions_before = mfsa.num_transitions
     with obs.span("merge.fsa", rule=rule) as sp:
-        structures = _find_merging_structures(mfsa, fsa, stats, seed_cap, meter=meter, rule=rule)
+        kinds = _arc_kinds(mfsa, fsa)
+        structures = _find_merging_structures(kinds, stats, seed_cap, meter=meter, rule=rule)
         walks_found = len(structures)
         if min_walk_len > 1:
             structures = [ms for ms in structures if len(ms) >= min_walk_len]
         mapping = _consistent_mapping(mfsa, structures, strategy)
-        _relabel_and_merge(mfsa, rule, fsa, mapping, stats)
+        _relabel_and_merge(mfsa, rule, fsa, mapping, stats, kinds)
         if meter is not None:
             meter.charge_automaton(
                 mfsa.num_states - states_before,
@@ -283,37 +338,47 @@ def _merge_one(
 
 
 def _find_merging_structures(
-    mfsa: Mfsa,
-    fsa: Fsa,
+    kinds: list[tuple],
     stats: MergeReport,
     seed_cap: Optional[int],
     meter=None,
     rule: Optional[int] = None,
 ) -> list[MergingStructure]:
-    """Walk common sub-paths seeded at every same-label transition pair.
+    """Walk common sub-paths seeded at every same-key transition pair.
 
     Mirrors Algorithm 1's nested loops over the COO ``idx`` vectors: each
-    (z-transition, a-transition) pair with an identical label starts a
-    walk that extends while the successor transitions keep matching, and
-    each maximal walk becomes one Merging Structure.  The seed search is
-    the quadratic heart of the merge, so the budget deadline is checked
-    every :data:`~repro.guard.budget.CHECK_STRIDE` label comparisons
-    when a meter is present.
+    (z-transition, a-transition) pair with an identical merge key starts
+    a walk that extends while the successor transitions keep matching,
+    and each maximal walk becomes one Merging Structure.  The seed search
+    is the quadratic heart of the merge, so the budget deadline is
+    checked every :data:`~repro.guard.budget.CHECK_STRIDE` label
+    comparisons when a meter is present.
     """
-    z_by_label = mfsa.arcs_by_label()
-    z_out = mfsa.outgoing_index()
-    z_arcs = mfsa.transitions
-
-    a_arcs = list(fsa.labelled_transitions())
+    z_arcs: list = []
+    z_keys: list = []
+    a_arcs: list = []
+    a_keys: list = []
+    for kind_z_arcs, kind_z_keys, kind_a_arcs, kind_a_keys, _ in kinds:
+        z_arcs += kind_z_arcs
+        z_keys += kind_z_keys
+        a_arcs += kind_a_arcs
+        a_keys += kind_a_keys
+    z_by_key: dict = {}
+    z_out: dict[int, list[int]] = {}
+    for i, (t, key) in enumerate(zip(z_arcs, z_keys)):
+        z_by_key.setdefault(key, []).append(i)
+        z_out.setdefault(t.src, []).append(i)
     a_out: dict[int, list[int]] = {}
     for i, t in enumerate(a_arcs):
         a_out.setdefault(t.src, []).append(i)
+    z = (z_arcs, z_keys, z_out)
+    a = (a_arcs, a_keys, a_out)
 
     structures: list[MergingStructure] = []
     seen_seeds: set[tuple[int, int]] = set()
 
-    for ai, at in enumerate(a_arcs):
-        candidates = z_by_label.get(at.label.mask, ())  # type: ignore[union-attr]
+    for ai, key in enumerate(a_keys):
+        candidates = z_by_key.get(key, ())
         if seed_cap is not None:
             candidates = candidates[:seed_cap]
         for zi in candidates:
@@ -322,7 +387,7 @@ def _find_merging_structures(
                 meter.check_deadline(stage="merging", rule=rule)
             if (zi, ai) in seen_seeds:
                 continue
-            ms = _walk(z_arcs, z_out, a_arcs, a_out, zi, ai, stats)
+            ms = _walk(z, a, zi, ai, stats)
             # Mark every pair on the walk as seeded so overlapping suffix
             # walks are not re-discovered as separate structures.
             seen_seeds.update(ms.seed_pairs)
@@ -331,22 +396,17 @@ def _find_merging_structures(
     return structures
 
 
-def _walk(
-    z_arcs: list[MTransition],
-    z_out: dict[int, list[int]],
-    a_arcs,
-    a_out: dict[int, list[int]],
-    zi: int,
-    ai: int,
-    stats: MergeReport,
-) -> MergingStructure:
-    """Extend a matched pair forward while successor labels keep matching.
+def _walk(z: tuple, a: tuple, zi: int, ai: int, stats: MergeReport) -> MergingStructure:
+    """Extend a matched pair forward while successor keys keep matching.
 
+    ``z`` and ``a`` are each side's ``(arcs, merge keys, out-arc index)``.
     Follows a single chain (the paper walks ``next(r), next(t)`` and stops
     at the first difference); at branch points the first matching
     successor pair in index order is taken.  A visited set prevents
     looping on cyclic automata (e.g. Kleene-star back arcs).
     """
+    z_arcs, z_keys, z_out = z
+    a_arcs, a_keys, a_out = a
     ms = MergingStructure()
     visited: set[tuple[int, int]] = set()
     cur_z, cur_a = zi, ai
@@ -357,7 +417,7 @@ def _walk(
         ms.push(PathTuple(zt.src, zt.dst, at.src, at.dst, at.label.mask))
         ms.seed_pairs.append((cur_z, cur_a))
         stats.walk_steps += 1
-        nxt = _next_matching_pair(z_arcs, z_out, a_arcs, a_out, zt.dst, at.dst, stats)
+        nxt = _next_matching_pair(z_keys, z_out, a_keys, a_out, zt.dst, at.dst, stats)
         if nxt is None:
             break
         cur_z, cur_a = nxt
@@ -365,19 +425,19 @@ def _walk(
 
 
 def _next_matching_pair(
-    z_arcs: list[MTransition],
+    z_keys: list,
     z_out: dict[int, list[int]],
-    a_arcs,
+    a_keys: list,
     a_out: dict[int, list[int]],
     z_state: int,
     a_state: int,
     stats: MergeReport,
 ) -> tuple[int, int] | None:
     for ai in a_out.get(a_state, ()):
-        a_mask = a_arcs[ai].label.mask
+        a_key = a_keys[ai]
         for zi in z_out.get(z_state, ()):
             stats.label_comparisons += 1
-            if z_arcs[zi].label.mask == a_mask:
+            if z_keys[zi] == a_key:
                 return zi, ai
     return None
 
@@ -445,31 +505,34 @@ def _jointly_compatible(
 
 
 def _relabel_and_merge(
-    mfsa: Mfsa, rule: int, fsa: Fsa, mapping: dict[int, int], stats: MergeReport
+    mfsa, rule: int, fsa, mapping: dict[int, int], stats: MergeReport, kinds: list[tuple]
 ) -> None:
     """Relabel the incoming FSA through ``mapping`` and fold it into ``z``.
 
     Unmapped states get fresh MFSA state numbers (disjoint relabeling);
-    arcs already present in ``z`` (same endpoints and label) gain ``rule``
-    in their belonging set, new arcs are appended with ``bel = {rule}``.
+    arcs already present in ``z`` (same endpoints and merge key) gain
+    ``rule`` in their belonging set, new arcs are appended to the list of
+    their kind with ``bel = {rule}``.
     """
     relabel = dict(mapping)
     for state in range(fsa.num_states):
         if state not in relabel:
             relabel[state] = mfsa.add_state()
 
-    arc_index = {(t.src, t.dst, t.label.mask): i for i, t in enumerate(mfsa.transitions)}
-    for t in fsa.labelled_transitions():
-        src, dst = relabel[t.src], relabel[t.dst]
-        key = (src, dst, t.label.mask)  # type: ignore[union-attr]
-        existing = arc_index.get(key)
-        if existing is not None:
-            old = mfsa.transitions[existing]
-            mfsa.transitions[existing] = MTransition(old.src, old.dst, old.label, old.bel | {rule})
-            stats.merged_transitions += 1
-        else:
-            mfsa.add_transition(src, dst, t.label, (rule,))  # type: ignore[arg-type]
-            arc_index[key] = len(mfsa.transitions) - 1
+    bel = frozenset((rule,))
+    for z_arcs, z_keys, a_arcs, a_keys, make in kinds:
+        arc_index = {(t.src, t.dst, k): i for i, (t, k) in enumerate(zip(z_arcs, z_keys))}
+        for t, k in zip(a_arcs, a_keys):
+            src, dst = relabel[t.src], relabel[t.dst]
+            key = (src, dst, k)
+            existing = arc_index.get(key)
+            if existing is not None:
+                old = z_arcs[existing]
+                z_arcs[existing] = make(old, old.src, old.dst, old.bel | bel)
+                stats.merged_transitions += 1
+            else:
+                arc_index[key] = len(z_arcs)
+                z_arcs.append(make(t, src, dst, bel))
 
     mfsa.initials[rule] = relabel[fsa.initial]
     mfsa.finals[rule] = {relabel[f] for f in fsa.finals}

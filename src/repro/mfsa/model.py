@@ -149,7 +149,7 @@ class Mfsa:
         return fsa
 
     def arcs_by_label(self) -> dict[int, list[int]]:
-        """label mask -> indices of transitions with that label (merge index)."""
+        """label mask -> indices of transitions with that label."""
         index: dict[int, list[int]] = {}
         for i, t in enumerate(self.transitions):
             index.setdefault(t.label.mask, []).append(i)

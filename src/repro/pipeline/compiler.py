@@ -16,6 +16,13 @@ Deviation note: the paper expands loops inside single-FSA optimisation;
 we rewrite at AST level (provably equivalent output) so the expansion is
 attributed to ``ast_to_fsa``.  DESIGN.md §5 records this.
 
+A counting compile (``CompileOptions(counting=True)``) runs the same
+stages with one more kind of arc: ``ast_to_fsa`` leaves the counted
+repeats compressed, builds each as a counting arc and removes ε in the
+same pass (:mod:`repro.counting.build`); ``single_opt`` is skipped;
+merging and its grouping are the plain ones; the back-end writes the
+counting ANML dialect for automata that keep counting arcs.
+
 Timing is measured with ``time.perf_counter`` (monotonic,
 high-resolution) and emitted through :mod:`repro.obs` spans — one
 ``compile`` root span with a ``compile.<stage>`` child per stage — while
@@ -26,7 +33,6 @@ no-ops and only the ``StageTimes`` arithmetic remains.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -38,8 +44,11 @@ from repro.automata.fsa import Fsa
 from repro.automata.optimize import OptimizeOptions, construct_nfa, optimize_ast, optimize_fsa
 from repro.anml.writer import write_anml
 from repro.counting.anml import write_counting_anml
-from repro.counting.build import DEFAULT_MIN_COUNT_BOUND, build_counting_fsa_from_ast
-from repro.counting.merge import CountingMergeReport, merge_counting_fsas
+from repro.counting.build import (
+    DEFAULT_MIN_COUNT_BOUND,
+    build_counting_fsa_from_ast,
+    counted_repeats,
+)
 from repro.counting.mfsa import CountingMfsa
 from repro.frontend.parser import parse
 from repro.guard import faultinject
@@ -85,9 +94,10 @@ class CompileOptions:
     #: :class:`~repro.guard.budget.BudgetMeter` spans every stage, so a
     #: deadline covers the compile end to end
     budget: Optional[Budget] = None
-    #: compile for ``backend="counting"``: bounded repeats survive loop
-    #: expansion and become counting arcs (counter registers at run
-    #: time) instead of state chains; the result's ``mfsas`` are
+    #: compile for ``backend="counting"``: repeats of one character class
+    #: that reach ``count_threshold`` survive loop expansion and become
+    #: counting arcs (counter registers at run time) instead of state
+    #: chains; the result's ``mfsas`` are
     #: :class:`~repro.counting.mfsa.CountingMfsa` (plain :class:`Mfsa`
     #: when every repeat fell below the threshold and expanded)
     counting: bool = False
@@ -175,11 +185,6 @@ def compile_ruleset(patterns: Sequence[str], options: CompileOptions | None = No
     bare ``RecursionError``."""
     options = options or CompileOptions()
     if options.counting:
-        if options.grouping != "sequential":
-            raise UsageError(
-                f"counting compiles support only sequential grouping "
-                f"(got {options.grouping!r})"
-            )
         if options.stratify_charclasses:
             raise UsageError(
                 "counting compiles do not support charclass stratification"
@@ -214,19 +219,22 @@ def compile_ruleset(patterns: Sequence[str], options: CompileOptions | None = No
             if meter is not None:
                 meter.check_deadline(stage="frontend")
 
-        if options.counting:
-            return _finish_counting(patterns, asts, options, times, meter, root)
-
-        # Mid-end: AST → FSA (loop expansion + Thompson construction).
+        # Mid-end: AST → FSA (loop expansion + Thompson construction).  A
+        # counting compile leaves the counted repeats compressed, builds
+        # them as counting arcs and removes ε in the same pass.
+        counted = counted_repeats(options.count_threshold) if options.counting else None
         with _stage(times, "ast_to_fsa"):
             asts = [
-                optimize_ast(ast, options.optimize, meter=meter, rule=rule)
+                optimize_ast(ast, options.optimize, meter=meter, rule=rule, keep=counted)
                 for rule, ast in enumerate(asts)
             ]
             nfas = []
             for rule, (ast, pattern) in enumerate(zip(asts, patterns)):
                 try:
-                    nfa = construct_nfa(ast, pattern, options.optimize)
+                    if options.counting:
+                        nfa = build_counting_fsa_from_ast(ast, pattern, options.count_threshold)
+                    else:
+                        nfa = construct_nfa(ast, pattern, options.optimize)
                 except RecursionError as exc:
                     raise CompileError(
                         "automaton construction exceeded the recursion limit",
@@ -237,16 +245,22 @@ def compile_ruleset(patterns: Sequence[str], options: CompileOptions | None = No
                         nfa.num_states, nfa.num_transitions,
                         stage="ast_to_fsa", rule=rule,
                     )
+                    if options.counting:
+                        meter.charge_counting_registers(len(nfa.counting), rule=rule)
                 nfas.append(nfa)
 
-        # Mid-end: single-FSA optimisation.
-        with _stage(times, "single_opt"):
-            fsas = [
-                optimize_fsa(nfa, options.optimize, meter=meter, rule=rule)
-                for rule, nfa in enumerate(nfas)
-            ]
-            if options.stratify_charclasses:
-                fsas = stratify_ruleset(fsas)
+        # Mid-end: single-FSA optimisation.  Its passes know nothing of
+        # counting arcs, so a counting compile skips it.
+        if options.counting:
+            fsas = nfas
+        else:
+            with _stage(times, "single_opt"):
+                fsas = [
+                    optimize_fsa(nfa, options.optimize, meter=meter, rule=rule)
+                    for rule, nfa in enumerate(nfas)
+                ]
+                if options.stratify_charclasses:
+                    fsas = stratify_ruleset(fsas)
 
         # Mid-end: merging.
         with _stage(times, "merging") as merge_span:
@@ -269,16 +283,29 @@ def compile_ruleset(patterns: Sequence[str], options: CompileOptions | None = No
                 mfsas = [reduce_mfsa(m) for m in mfsas]
                 merge_report.output_states = sum(m.num_states for m in mfsas)
                 merge_report.output_transitions = sum(m.num_transitions for m in mfsas)
+            if options.counting:
+                # Every repeat below the threshold expanded: no registers
+                # left, so hand downstream the unrestricted plain model.
+                mfsas = [m if m.counting else m.to_plain() for m in mfsas]
+                merge_span.set(counting_arcs=sum(
+                    len(m.counting) for m in mfsas if isinstance(m, CountingMfsa)
+                ))
             merge_span.set(
                 mfsas=len(mfsas),
                 state_compression=round(merge_report.state_compression, 3),
             )
 
-        # Back-end: extended-ANML generation.
+        # Back-end: extended-ANML generation (the counting dialect for
+        # automata with counting arcs).
         anml: list[str] | None = None
         if options.emit_anml:
             with _stage(times, "backend"):
-                anml = [write_anml(mfsa, network_id=f"mfsa{i}") for i, mfsa in enumerate(mfsas)]
+                anml = [
+                    write_counting_anml(m, network_id=f"cmfsa{i}")
+                    if isinstance(m, CountingMfsa)
+                    else write_anml(m, network_id=f"mfsa{i}")
+                    for i, m in enumerate(mfsas)
+                ]
                 if meter is not None:
                     meter.check_deadline(stage="backend")
 
@@ -297,110 +324,3 @@ def compile_ruleset(patterns: Sequence[str], options: CompileOptions | None = No
         anml=anml,
     )
 
-
-def _finish_counting(
-    patterns: Sequence[str],
-    asts: list,
-    options: CompileOptions,
-    times: StageTimes,
-    meter,
-    root,
-) -> CompilationResult:
-    """The ``counting=True`` mid/back-end: bounded repeats become counter
-    registers instead of expanded state chains.
-
-    Loop expansion is disabled so repeats survive to the counting
-    builder, which applies the expand-vs-count policy per repeat
-    (``count_threshold``).  Construction and ε-removal are one fused
-    pass, so the ``single_opt`` stage reports zero; states/transitions
-    charge ``meter`` as usual plus one ``counting.registers`` charge per
-    counting arc — this is where a `[^\\n]{1000}`-style rule that blows
-    ``max_states`` under expansion compiles within budget.  Merged
-    automata with no surviving counting arcs drop to plain
-    :class:`Mfsa` so every downstream consumer stays unrestricted.
-    """
-    # Mid-end: AST → counting FSA (fused construction + ε-removal).
-    with _stage(times, "ast_to_fsa"):
-        no_expand = dataclasses.replace(options.optimize, expand_loops=False)
-        asts = [
-            optimize_ast(ast, no_expand, meter=meter, rule=rule)
-            for rule, ast in enumerate(asts)
-        ]
-        cfsas = []
-        for rule, (ast, pattern) in enumerate(zip(asts, patterns)):
-            try:
-                cfsa = build_counting_fsa_from_ast(
-                    ast, pattern, min_count_bound=options.count_threshold
-                )
-            except RecursionError as exc:
-                raise CompileError(
-                    "automaton construction exceeded the recursion limit",
-                    stage="ast_to_fsa", rule=rule,
-                ) from exc
-            if meter is not None:
-                meter.charge_automaton(
-                    cfsa.num_states, len(cfsa.plain),
-                    stage="ast_to_fsa", rule=rule,
-                )
-                meter.charge_counting_registers(len(cfsa.counting), rule=rule)
-            cfsas.append(cfsa)
-
-    # Mid-end: merging (Algorithm 1 over mixed plain/counting arcs).
-    with _stage(times, "merging") as merge_span:
-        merge_report = MergeReport()
-        items = list(enumerate(cfsas))
-        factor = options.merging_factor
-        if factor <= 0 or factor >= len(items):
-            groups = [items]
-        else:
-            groups = [items[i:i + factor] for i in range(0, len(items), factor)]
-        mfsas: list = []
-        for group in groups:
-            group_report = CountingMergeReport()
-            merged = merge_counting_fsas(group, report=group_report)
-            merge_report.input_states += group_report.input_states
-            merge_report.input_transitions += group_report.input_transitions
-            merge_report.output_states += group_report.output_states
-            merge_report.output_transitions += group_report.output_transitions
-            merge_report.merged_transitions += (
-                group_report.merged_plain + group_report.merged_counting
-            )
-            # Every repeat below the threshold expanded: no registers
-            # left, so hand downstream the unrestricted plain model.
-            mfsas.append(merged if merged.counting else merged.to_plain())
-        if meter is not None:
-            meter.check_deadline(stage="merging")
-        merge_span.set(
-            mfsas=len(mfsas),
-            state_compression=round(merge_report.state_compression, 3),
-            counting_arcs=sum(
-                len(m.counting) for m in mfsas if isinstance(m, CountingMfsa)
-            ),
-        )
-
-    # Back-end: extended-ANML generation (counting dialect where needed).
-    anml: list[str] | None = None
-    if options.emit_anml:
-        with _stage(times, "backend"):
-            anml = [
-                write_counting_anml(m, network_id=f"cmfsa{i}")
-                if isinstance(m, CountingMfsa)
-                else write_anml(m, network_id=f"mfsa{i}")
-                for i, m in enumerate(mfsas)
-            ]
-            if meter is not None:
-                meter.check_deadline(stage="backend")
-
-    root.set(
-        input_states=merge_report.input_states,
-        output_states=merge_report.output_states,
-    )
-    return CompilationResult(
-        patterns=list(patterns),
-        options=options,
-        fsas=cfsas,
-        mfsas=mfsas,
-        stage_times=times,
-        merge_report=merge_report,
-        anml=anml,
-    )

@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
-from repro.counting import build_counting_fsa, merge_counting_fsas
+from repro.counting import build_counting_fsa
 from repro.counting.model import CountingTransition
 from repro.engine.imfant import IMfantEngine
 from repro.labels import CharClass
+from repro.mfsa.merge import merge_fsas
+from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
 pytestmark = pytest.mark.counting
 
 
 def engine_for(cfsa, rule_id: int = 0) -> IMfantEngine:
-    return IMfantEngine(merge_counting_fsas([(rule_id, cfsa)]), backend="counting")
+    return IMfantEngine(merge_fsas([(rule_id, cfsa)]), backend="counting")
 
 
 def matches(pattern: str, text: str, min_count_bound: int = 1) -> set:
@@ -59,6 +61,16 @@ class TestConstruction:
     def test_only_width1_bodies_count(self):
         cfsa = build_counting_fsa("(ab){100}")
         assert not cfsa.counting  # multi-symbol body expands
+
+    def test_uncounted_repeat_expands_as_the_plain_pipeline(self):
+        """A repeat that does not count goes through the plain loop
+        expansion: as many arcs as the expanded compile, not a flat
+        chain of optionals whose ε-closures square them."""
+        counting = compile_ruleset(
+            ["(xy){0,70}"], CompileOptions(counting=True, count_threshold=2)
+        ).fsas[0]
+        expanded = compile_ruleset(["(xy){0,70}"]).fsas[0]
+        assert counting.num_transitions == expanded.num_transitions == 140
 
     def test_unbounded_low_counts(self):
         cfsa = build_counting_fsa("[xy]{50,}z")

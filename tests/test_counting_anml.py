@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anml.reader import AnmlFormatError
-from repro.counting import build_counting_fsa, merge_counting_fsas
+from repro.counting import build_counting_fsa
 from repro.counting.anml import read_counting_anml, write_counting_anml
 from repro.engine.imfant import IMfantEngine
+from repro.mfsa.merge import merge_fsas
 
 from conftest import ere_patterns, input_strings
 
@@ -21,7 +22,7 @@ def run_matches(z, text):
 def build(patterns, min_count_bound=1):
     items = [(i, build_counting_fsa(p, min_count_bound=min_count_bound))
              for i, p in enumerate(patterns)]
-    return merge_counting_fsas(items)
+    return merge_fsas(items)
 
 
 def cmfsa_equal(a, b):

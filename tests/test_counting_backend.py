@@ -6,7 +6,8 @@ loop-expanded pipeline over the *same* patterns is an independent oracle
 — every property here pins the two against each other:
 
 * byte-identical ``(rule, end)`` match sets on hypothesis-random
-  rulesets full of bounded (and unbounded ``{m,}``) repeats;
+  rulesets full of bounded (and unbounded ``{m,}``) repeats, merged in
+  sequential or similarity-clustered groups;
 * agreement across every backend running the same counting compile (the
   counting backend drives the registers, the others the ``expand()``
   bridge);
@@ -53,12 +54,13 @@ SUFFIXES = st.sampled_from(["", "y", "ba", "[01]"])
 @st.composite
 def counted_parts(draw) -> tuple:
     """(prefix, repeat, suffix) of one pattern built around a bounded or
-    unbounded repeat.  Some bounds pass 64, so the register's field spans
-    several int digits of the packed word; their atom is ``[^x]``, which
-    most text runs match."""
+    unbounded repeat.  Some bounds pass 64: over ``[^x]``, which most
+    text runs match, the register's field spans several int digits of
+    the packed word; over ``(xy)``, which does not count, the counting
+    compile expands the repeat as the plain pipeline does."""
     wide = draw(st.integers(min_value=0, max_value=3)) == 0
     if wide:
-        atom = "[^x]"
+        atom = draw(st.sampled_from(["[^x]", "(xy)"]))
     else:
         atom = draw(st.sampled_from(["a", "b", "[ab]", "[^x]", "[0-9]", "(xy)"]))
     low = draw(st.integers(min_value=0, max_value=70 if wide else 4))
@@ -97,6 +99,13 @@ SHARED_CASE = {
     "patterns": ["a[0-9]{2,5}b", "a[0-9]{2,5}c", "[ab][0-9]{2,5}c"],
     "text": "a12b b123c a1234c ba99c a123456b b12c aa123c",
 }
+#: Wide repeats of a two-symbol body, which expand, beside counted
+#: ones: the counting compile must expand them as the plain pipeline
+#: does, linear in the bound, or their arcs square and merging crawls.
+EXPANDED_CASE = {
+    "patterns": ["x[ab]{63,}[01]", "x(xy){70,}[01]", "(xy){0,70}", "ab[^x]{0,12}ba"],
+    "text": "x" + "ab" * 35 + "1 x" + "xy" * 72 + "0 " + "xy" * 80 + " ab" + "c" * 9 + "ba",
+}
 
 
 def texts(max_size: int = 120):
@@ -104,7 +113,7 @@ def texts(max_size: int = 120):
     one character, some long enough for bounds past 64, so that counts
     start after a prefix and run on past their bounds."""
     length = st.integers(min_value=1, max_value=12) | st.integers(min_value=60, max_value=90)
-    run = st.builds(str.__mul__, st.sampled_from(TEXT_ALPHABET), length)
+    run = st.builds(str.__mul__, st.sampled_from([*TEXT_ALPHABET, "xy"]), length)
     piece = st.text(alphabet=TEXT_ALPHABET, max_size=12) | st.sampled_from(["x", "ab"]) | run
     return st.lists(piece, max_size=12).map(lambda parts: "".join(parts)[:max_size])
 
@@ -143,12 +152,27 @@ def _matches(mfsas, payload, backend: str = "python", **kwargs) -> set:
 @given(patterns=rulesets(), text=texts())
 @example(**WIDE_CASE)
 @example(**SHARED_CASE)
+@example(**EXPANDED_CASE)
 @settings(max_examples=60, deadline=None)
 def test_counting_equals_expanded_oracle(patterns, text):
     """Counting backend == loop-expanded pipeline, byte for byte."""
     counting = _compile_counting(patterns)
     expanded = _compile_expanded(patterns)
     assert _matches(counting, text, "counting") == _matches(expanded, text)
+
+
+@given(patterns=rulesets(), text=texts())
+@example(**SHARED_CASE)
+@settings(max_examples=20, deadline=None)
+def test_clustered_grouping_equals_expanded_oracle(patterns, text):
+    """Counting compiles merge through the plain grouping dispatch, so
+    similarity-clustered groups of two run as sequential groups do."""
+    counting = compile_ruleset(
+        patterns,
+        CompileOptions(counting=True, count_threshold=2, merging_factor=2,
+                       grouping="clustered", emit_anml=False),
+    ).mfsas
+    assert _matches(counting, text, "counting") == _matches(_compile_expanded(patterns), text)
 
 
 @given(patterns=rulesets(), text=texts(max_size=80))

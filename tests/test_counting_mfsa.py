@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
-from repro.counting import (
-    CountingMergeReport,
-    build_counting_fsa,
-    merge_counting_fsas,
-)
+from repro.counting import build_counting_fsa
 from repro.engine.imfant import IMfantEngine
+from repro.mfsa.merge import MergeReport, merge_fsas
 
 from conftest import ere_patterns, input_strings
 
@@ -22,7 +19,7 @@ pytestmark = pytest.mark.counting
 def build_merged(patterns, min_count_bound=1):
     items = [(i, build_counting_fsa(p, min_count_bound=min_count_bound))
              for i, p in enumerate(patterns)]
-    return merge_counting_fsas(items)
+    return merge_fsas(items)
 
 
 def run_counting(z, text):
@@ -59,19 +56,25 @@ class TestMerging:
         assert shared  # the ab prefix
 
     def test_compression_report(self):
-        report = CountingMergeReport()
+        """The shared ``q`` arc and the shared counter both count as
+        merged transitions, and Algorithm 1's counters are filled."""
+        report = MergeReport()
         items = [(i, build_counting_fsa(p)) for i, p in
                  enumerate(["q[0-9]{4}z", "q[0-9]{4}y"])]
-        merge_counting_fsas(items, report=report)
-        assert report.merged_counting == 1
+        z = merge_fsas(items, report=report)
+        assert [len(arc.bel) for arc in z.counting] == [2]
+        assert report.merged_transitions == 2
+        assert report.label_comparisons > 0 and report.walk_steps > 0
         assert report.state_compression > 0
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            merge_counting_fsas([])
+            merge_fsas([])
         cfsa = build_counting_fsa("a{5}")
         with pytest.raises(ValueError):
-            merge_counting_fsas([(1, cfsa), (1, cfsa)])
+            merge_fsas([(1, cfsa), (1, cfsa)])
+        with pytest.raises(ValueError):
+            merge_fsas([(1, cfsa), (2, compile_re_to_fsa("a{5}"))])
 
 
 class TestEngine:

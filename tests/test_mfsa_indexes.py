@@ -1,4 +1,4 @@
-"""Tests for the MFSA's index/accessor helpers used by the merger."""
+"""Tests for the MFSA's index/accessor helpers."""
 
 from repro.labels import CharClass
 from repro.mfsa.merge import merge_fsas

@@ -96,6 +96,23 @@ def test_merge_min_walk_len_discards_are_visible(small_ruleset):
     assert sum(s.attributes["walks_discarded"] for s in per_fsa) > 0
 
 
+def test_counting_merge_is_observed(small_ruleset):
+    """A counting compile merges through Algorithm 1 as a plain one
+    does: merge.fsa spans, min_walk_len discards and filled counters."""
+    with obs.capture() as cap:
+        result = compile_ruleset(
+            small_ruleset,
+            CompileOptions(merging_factor=0, min_walk_len=3, emit_anml=False,
+                           counting=True, count_threshold=2),
+        )
+    assert any(getattr(m, "counting", ()) for m in result.mfsas)
+    per_fsa = [s for s in cap.tracer.spans() if s.name == "merge.fsa"]
+    assert len(per_fsa) == len(small_ruleset) - 1
+    assert sum(s.attributes["walks_discarded"] for s in per_fsa) > 0
+    assert result.merge_report.label_comparisons > 0
+    assert result.merge_report.walk_steps > 0
+
+
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------

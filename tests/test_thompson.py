@@ -1,8 +1,12 @@
 """Unit tests for Thompson construction (AST → ε-NFA)."""
 
+import random
+import re
+
 import pytest
 
 from repro.automata.fsa import Fsa
+from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import accepts
 from repro.automata.thompson import thompson_construct
 from repro.frontend.parser import parse
@@ -75,6 +79,30 @@ class TestLanguage:
         assert accepts(fsa, "aab")
         assert not accepts(fsa, "ab")
 
+
+class TestGeneralBounds:
+    """Bounded repeats the loop expansion leaves compressed (over its
+    256-copy budget) build as nested optional layers."""
+
+    @pytest.mark.parametrize("pattern,arcs,body,low,high", [
+        ("(ab|c){1,300}", 900, ["ab", "c"], 1, 300),
+        ("a(bc){2,400}d", 1200, ["bc"], 2, 400),
+        ("(xy){0,300}", 600, ["xy"], 0, 300),
+    ], ids=["(ab|c){1,300}", "a(bc){2,400}d", "(xy){0,300}"])
+    def test_arcs_linear_in_the_bound(self, pattern, arcs, body, low, high):
+        """Each optional layer skips straight to the end, so the
+        ε-removal adds no arc per later layer (a flat chain of ``x?``
+        layers gives ``(xy){0,300}`` 45,450 arcs); the language is
+        ``re``'s, checked on runs of the body around both bounds."""
+        fsa = compile_re_to_fsa(pattern)
+        assert fsa.num_transitions == arcs
+        prefix, suffix = ("a", "d") if pattern.startswith("a(") else ("", "")
+        rng = random.Random(pattern)
+        for count in (0, 1, low - 1, low, low + 1, high - 1, high, high + 1):
+            if count < 0:
+                continue
+            text = prefix + "".join(rng.choice(body) for _ in range(count)) + suffix
+            assert accepts(fsa, text) == bool(re.fullmatch(pattern, text)), count
 
 class TestBadInput:
     def test_unknown_node_type(self):

@@ -68,10 +68,11 @@ class TestDfaDot:
 
 class TestCountingMfsaDot:
     def test_counting_arcs_dashed_with_bounds(self):
-        from repro.counting import build_counting_fsa, merge_counting_fsas
+        from repro.counting import build_counting_fsa
+        from repro.mfsa.merge import merge_fsas
         from repro.viz import counting_mfsa_to_dot
 
-        z = merge_counting_fsas([
+        z = merge_fsas([
             (0, build_counting_fsa("x[ab]{5}y")),
             (1, build_counting_fsa("x[ab]{5}z")),
         ])
